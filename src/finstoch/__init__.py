@@ -7,7 +7,6 @@ not approximations.
 
 from .core import (
     CarrierTooLarge,
-    ConvexSeries,
     Dist,
     FinSet,
     Kernel,
@@ -22,7 +21,6 @@ from .core import (
     cotuple,
     dirac,
     discard_kernel,
-    empty_finset,
     fractional_series,
     identity_kernel,
     is_deterministic,
@@ -31,7 +29,6 @@ from .core import (
     kernel_compose_all,
     kernel_equal,
     kernel_from_function,
-    kernel_from_rows,
     kernel_power,
     kernel_tensor,
     make_dist,
@@ -45,13 +42,11 @@ from .core import (
     state_kernel,
     swap_kernel,
     tensor_finset,
-    uniform_series,
     uniform_state,
     unit_finset,
 )
 from .multisets import (
     Multiset,
-    MultisetSpace,
     acc_kernel,
     acc_of_seq,
     arr_kernel,
@@ -60,7 +55,6 @@ from .multisets import (
     epsilon_kernel,
     flrn_kernel,
     mset_map,
-    mspace,
     multiset_space,
     perm_kernel,
     section_kernel,

@@ -23,7 +23,7 @@ from .core import (
     tuple_of,
     untuple,
 )
-from .multisets import Multiset, acc_kernel, arr_kernel, mspace
+from .multisets import Multiset, acc_kernel, arr_kernel, multiset_space
 
 
 @cache
@@ -76,8 +76,8 @@ def msum(phi: Multiset, psi: Multiset) -> Multiset:
 @cache
 def msum_kernel(X: FinSet, K: int, L: int) -> Kernel:
     """Multiset addition as a deterministic kernel M[K](X) (x) M[L](X) -> M[K+L](X)."""
-    dom = tensor_finset(mspace(X, K), mspace(X, L))
-    return kernel_from_function(dom, mspace(X, K + L), lambda p: msum(p[0], p[1]))
+    dom = tensor_finset(multiset_space(X, K), multiset_space(X, L))
+    return kernel_from_function(dom, multiset_space(X, K + L), lambda p: msum(p[0], p[1]))
 
 
 @cache
@@ -97,8 +97,8 @@ def mzip_kernel(X: FinSet, Y: FinSet, K: int) -> Kernel:
 @cache
 def ksum_kernel(X: FinSet, K: int, L: int) -> Kernel:
     """The K-fold iterated sum (M[L](X))^K -> M[K*L](X)."""
-    dom = power_finset(mspace(X, L), K)
-    cod = mspace(X, K * L)
+    dom = power_finset(multiset_space(X, L), K)
+    cod = multiset_space(X, K * L)
     empty = Multiset(X, (0,) * len(X))
 
     def total(t: Label) -> Label:
@@ -117,8 +117,8 @@ def mu_kernel(X: FinSet, K: int, L: int) -> Kernel:
     An outer multiset of inner multisets flattens to the
     multiplicity-weighted pointwise sum of its inner multisets.
     """
-    dom = mspace(mspace(X, L), K)
-    cod = mspace(X, K * L)
+    dom = multiset_space(multiset_space(X, L), K)
+    cod = multiset_space(X, K * L)
 
     def flatten(outer: Label) -> Label:
         counts = [0] * len(X)

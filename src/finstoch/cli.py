@@ -14,7 +14,6 @@ from typing import Sequence
 from . import draws, multisets, split
 from .algebra import mzip_kernel
 from .core import Dist, Tagged, coproduct_finset, make_finset, state_kernel
-from .laws import GridSpec, law_registry, run_laws
 from .multisets import Multiset
 from .textio import FormatError, dist_to_json, parse_dist, parse_urn, render_dist_lines
 
@@ -31,11 +30,6 @@ def _emit_dist(d: Dist, fmt: str) -> None:
             print(line)
 
 
-def _urn_row(kernel, urn: Multiset, K: int) -> Dist:
-    space = multisets.multiset_space(urn.base, K)
-    return kernel.rows[space.index(urn)]
-
-
 def cmd_multinomial(args) -> int:
     d = parse_dist(args.dist)
     mn = draws.multinomial_kernel(state_kernel(d), args.k)
@@ -48,7 +42,7 @@ def cmd_hypergeometric(args) -> int:
     if args.draws > urn.size:
         raise UsageError(f"cannot draw {args.draws} from an urn of size {urn.size}")
     hg = draws.hypergeometric_kernel(urn.base, urn.size, args.draws)
-    _emit_dist(_urn_row(hg, urn, urn.size), args.format)
+    _emit_dist(hg.row(urn), args.format)
     return 0
 
 
@@ -57,7 +51,7 @@ def cmd_dd(args) -> int:
     if urn.size < 1:
         raise UsageError("draw-and-delete needs a nonempty urn")
     dd = multisets.dd_kernel(urn.base, urn.size - 1)
-    _emit_dist(_urn_row(dd, urn, urn.size), args.format)
+    _emit_dist(dd.row(urn), args.format)
     return 0
 
 
@@ -66,14 +60,14 @@ def cmd_flrn(args) -> int:
     if urn.size < 1:
         raise UsageError("frequentist learning needs a nonempty urn")
     flrn = multisets.flrn_kernel(urn.base, urn.size)
-    _emit_dist(_urn_row(flrn, urn, urn.size), args.format)
+    _emit_dist(flrn.row(urn), args.format)
     return 0
 
 
 def cmd_arr(args) -> int:
     urn = parse_urn(args.urn)
     arr = multisets.arr_kernel(urn.base, urn.size)
-    _emit_dist(_urn_row(arr, urn, urn.size), args.format)
+    _emit_dist(arr.row(urn), args.format)
     return 0
 
 
@@ -103,11 +97,14 @@ def cmd_msplit(args) -> int:
     tagged_counts.update({Tagged(1, y): urn.count(y) for y in Y})
     tagged_urn = Multiset(XY, tuple(tagged_counts[lab] for lab in XY))
     ms = split.msplit_kernel(X, Y, urn.size)
-    _emit_dist(_urn_row(ms, tagged_urn, urn.size), args.format)
+    _emit_dist(ms.row(tagged_urn), args.format)
     return 0
 
 
 def cmd_laws(args) -> int:
+    # imported here so that query commands do not load the law runner
+    from .laws import GridSpec, law_registry, run_laws
+
     grid = GridSpec()
     if args.max_set is not None:
         if args.max_set < 1:

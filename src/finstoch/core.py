@@ -130,11 +130,6 @@ def unit_finset() -> FinSet:
 
 
 @cache
-def empty_finset() -> FinSet:
-    return FinSet(())
-
-
-@cache
 def number_finset(n: int) -> FinSet:
     """The interpreted number: atoms "0" .. "n-1"."""
     if n < 0:
@@ -277,61 +272,31 @@ def dirac(X: FinSet, x: Label) -> Dist:
     return Dist(X, ((x, ONE),))
 
 
+def _number_state(weights: Sequence[Fraction]) -> Dist:
+    # A state on the interpreted number len(weights): a convex series.
+    return Dist(number_finset(len(weights)), tuple((str(i), w) for i, w in enumerate(weights)))
+
+
 def uniform_state(n: int) -> Dist:
     """The uniform distribution over the interpreted number n; requires n >= 1."""
     if n < 1:
         raise ValueError("uniform states need at least one outcome")
-    w = Fraction(1, n)
-    return Dist(number_finset(n), tuple((str(i), w) for i in range(n)))
+    return _number_state((Fraction(1, n),) * n)
 
 
-@dataclass(frozen=True)
-class ConvexSeries:
-    """A finite list of nonnegative weights summing to 1.
-
-    Identical in content to a distribution over an interpreted number,
-    but kept as a separate role: it parametrises convex sums of kernels.
-    """
-
-    weights: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        weights = tuple(_as_fraction(w) for w in self.weights)
-        if not weights:
-            raise ValueError("a convex series has positive length")
-        if any(w < 0 for w in weights):
-            raise ValueError("negative weight in convex series")
-        if sum(weights, ZERO) != ONE:
-            raise ValueError("convex series weights must sum to exactly 1")
-        object.__setattr__(self, "weights", weights)
-
-    @property
-    def length(self) -> int:
-        return len(self.weights)
-
-    def as_state(self) -> Dist:
-        return Dist(number_finset(self.length), tuple((str(i), w) for i, w in enumerate(self.weights)))
-
-
-def uniform_series(n: int) -> ConvexSeries:
-    if n < 1:
-        raise ValueError("uniform series need at least one entry")
-    return ConvexSeries((Fraction(1, n),) * n)
-
-
-def fractional_series(nums: Sequence[int]) -> ConvexSeries:
-    """The series (n_1/n, ..., n_k/n) with n the total of the given naturals."""
+def fractional_series(nums: Sequence[int]) -> Dist:
+    """The state (n_1/n, ..., n_k/n) on the number k, with n the total of the given naturals."""
     if any(v < 0 for v in nums):
         raise ValueError("fractional series entries are naturals")
     total = sum(nums)
     if total < 1:
         raise ValueError("fractional series needs a positive total")
-    return ConvexSeries(tuple(Fraction(v, total) for v in nums))
+    return _number_state(tuple(Fraction(v, total) for v in nums))
 
 
-def series_bullet(r: ConvexSeries, s: ConvexSeries) -> ConvexSeries:
-    """Row-major product series: weight (i, j) is r_i * s_j."""
-    return ConvexSeries(tuple(ri * sj for ri in r.weights for sj in s.weights))
+def series_bullet(r: Dist, s: Dist) -> Dist:
+    """Row-major product of two states on numbers: weight (i, j) is r_i * s_j."""
+    return _number_state(tuple(ri * sj for ri in r.weights for sj in s.weights))
 
 
 @dataclass(frozen=True)
@@ -397,18 +362,11 @@ class Kernel:
     def row(self, x: Label) -> Dist:
         return self.rows[self.domain.index[x]]
 
-    def __call__(self, x: Label) -> Dist:
-        return self.row(x)
-
     def is_point_masses(self) -> bool:
         return all(row.is_point_mass() for row in self.rows)
 
     def __repr__(self) -> str:
         return f"Kernel({len(self.domain)}->{len(self.codomain)})"
-
-
-def kernel_from_rows(domain: FinSet, codomain: FinSet, rows: Iterable[Dist]) -> Kernel:
-    return Kernel(domain, codomain, tuple(rows))
 
 
 def kernel_from_function(domain: FinSet, codomain: FinSet, fn: Callable[[Label], Label]) -> Kernel:
@@ -541,7 +499,7 @@ def permutation_kernel(X: FinSet, sigma: Permutation) -> Kernel:
 
 def index_map_kernel(X: FinSet, Y: FinSet, fn: Callable[[int], int]) -> Kernel:
     """Deterministic kernel sending the i-th element of X to the fn(i)-th of Y."""
-    return kernel_from_rows(X, Y, (dirac(Y, Y.elements[fn(i)]) for i in range(len(X))))
+    return Kernel(X, Y, tuple(dirac(Y, Y.elements[fn(i)]) for i in range(len(X))))
 
 
 def reindex_kernel(X: FinSet, Y: FinSet) -> Kernel:
@@ -556,10 +514,10 @@ def swap_kernel(X: FinSet, Y: FinSet) -> Kernel:
     return kernel_from_function(tensor_finset(X, Y), tensor_finset(Y, X), lambda p: (p[1], p[0]))
 
 
-def convex_sum(r: ConvexSeries, fs: Sequence[Kernel]) -> Kernel:
-    """The weighted mixture sum_i r_i * fs[i] of parallel kernels."""
-    if r.length != len(fs):
-        raise ValueError("series length must match the number of kernels")
+def convex_sum(r: Dist, fs: Sequence[Kernel]) -> Kernel:
+    """The weighted mixture sum_i r_i * fs[i] of parallel kernels; r is a state on len(fs)."""
+    if r.carrier != number_finset(len(fs)):
+        raise ValueError("the series must be a state on the number of kernels")
     dom, cod = fs[0].domain, fs[0].codomain
     if any(f.domain != dom or f.codomain != cod for f in fs):
         raise ValueError("convex sum components must share domain and codomain")

@@ -21,10 +21,9 @@ from .core import (
     identity_kernel,
     kernel_compose,
     kernel_compose_all,
-    kernel_from_rows,
     kernel_power,
 )
-from .multisets import acc_kernel, dd_kernel, mspace, multiset_space
+from .multisets import acc_kernel, dd_kernel, multiset_space
 
 
 @cache
@@ -35,20 +34,20 @@ def multinomial_kernel(f: Kernel, K: int) -> Kernel:
 
 def multinomial_pmf_kernel(f: Kernel, K: int) -> Kernel:
     """Closed-form multinomial: P(m) = K!/prod(m_y!) * prod f(x)(y)^m_y."""
-    M = mspace(f.codomain, K)
+    M = multiset_space(f.codomain, K)
     k_fact = math.factorial(K)
     rows = []
     for x in f.domain:
         p = f.row(x)
         items = []
-        for m in multiset_space(f.codomain, K):
+        for m in M:
             w = Fraction(k_fact, math.prod(math.factorial(c) for c in m.counts))
             for y, c in m.items():
                 w *= p.weight(y) ** c
             if w != 0:
                 items.append((m, w))
         rows.append(Dist(M, tuple(items)))
-    return kernel_from_rows(f.domain, M, rows)
+    return Kernel(f.domain, M, tuple(rows))
 
 
 @cache
@@ -61,18 +60,18 @@ def hypergeometric_kernel(X: FinSet, L: int, K: int) -> Kernel:
     """
     if L < K:
         raise ValueError("cannot draw more than the urn holds (need L >= K)")
-    Min = mspace(X, L)
-    Mout = mspace(X, K)
+    Min = multiset_space(X, L)
+    Mout = multiset_space(X, K)
     denom = math.comb(L, K)
     rows = []
-    for urn in multiset_space(X, L):
+    for urn in Min:
         items = []
-        for m in multiset_space(X, K):
+        for m in Mout:
             if all(c <= u for c, u in zip(m.counts, urn.counts)):
                 num = math.prod(math.comb(u, c) for u, c in zip(urn.counts, m.counts))
                 items.append((m, Fraction(num, denom)))
         rows.append(Dist(Mout, tuple(items)))
-    return kernel_from_rows(Min, Mout, rows)
+    return Kernel(Min, Mout, tuple(rows))
 
 
 @cache
@@ -80,7 +79,7 @@ def hypergeometric_chain_kernel(X: FinSet, L: int, K: int) -> Kernel:
     """The same map as repeated draw-and-delete, L - K single draws."""
     if L < K:
         raise ValueError("cannot draw more than the urn holds (need L >= K)")
-    k = identity_kernel(mspace(X, L))
+    k = identity_kernel(multiset_space(X, L))
     for size in range(L - 1, K - 1, -1):
         k = kernel_compose(dd_kernel(X, size), k)
     return k

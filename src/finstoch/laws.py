@@ -25,7 +25,6 @@ from typing import Callable, Iterator, Sequence
 from . import algebra, draws, multisets, split
 from .core import (
     CarrierTooLarge,
-    ConvexSeries,
     Dist,
     FinSet,
     Kernel,
@@ -59,7 +58,6 @@ from .core import (
     state_kernel,
     swap_kernel,
     tensor_finset,
-    uniform_series,
     uniform_state,
     unit_finset,
 )
@@ -89,8 +87,8 @@ _Y_ATOMS = ("u", "v", "w")
 KERNEL_KINDS = ("generic", "const", "collapse", "iso")
 
 _SERIES = (
-    uniform_series(2),
-    uniform_series(3),
+    uniform_state(2),
+    uniform_state(3),
     fractional_series((1, 2)),
     fractional_series((1, 3, 2)),
 )
@@ -165,8 +163,8 @@ class Instance:
     sigma: Permutation | None = None
     tau: Permutation | None = None
     rho: Permutation | None = None
-    r: ConvexSeries | None = None
-    s: ConvexSeries | None = None
+    r: Dist | None = None
+    s: Dist | None = None
 
     def f(self) -> Kernel | None:
         return make_kernel(self.fkind, self.X, self.Y)
@@ -305,7 +303,7 @@ def _accs_via_codiagonal(X: FinSet, Y: FinSet, K: int) -> Kernel:
     # Alternative construction of accs: per part size, collapse the
     # pattern copies with a codiagonal, then accumulate both halves once.
     parts = tuple(
-        tensor_finset(multisets.mspace(X, i), multisets.mspace(Y, K - i)) for i in range(K + 1)
+        tensor_finset(multisets.multiset_space(X, i), multisets.multiset_space(Y, K - i)) for i in range(K + 1)
     )
     branches = []
     for i in range(K + 1):
@@ -356,12 +354,12 @@ def _distribute_iso(X: FinSet, n: int) -> Kernel:
     return kernel_from_function(dom, cod, lambda p: Tagged(int(p[1]), p[0]))
 
 
-def _convex_sum_composite(r: ConvexSeries, fs: Sequence[Kernel]) -> Kernel:
+def _convex_sum_composite(r: Dist, fs: Sequence[Kernel]) -> Kernel:
     """The textbook composite: copy in the series, distribute, case split."""
     X = fs[0].domain
-    n = r.length
+    n = len(r.carrier)
     into_pair = kernel_from_function(X, tensor_finset(X, unit_finset()), lambda x: (x, ()))
-    spread = kernel_tensor(identity_kernel(X), state_kernel(r.as_state()))
+    spread = kernel_tensor(identity_kernel(X), state_kernel(r))
     return kernel_compose_all(cotuple(list(fs)), _distribute_iso(X, n), spread, into_pair)
 
 
@@ -418,23 +416,23 @@ def _core_laws() -> list[Law]:
     def bullet_comm(i: Instance):
         rs = series_bullet(i.r, i.s)
         sr = series_bullet(i.s, i.r)
-        n, m = i.r.length, i.s.length
+        n, m = len(i.r.carrier), len(i.s.carrier)
 
         def transpose(p: int) -> int:
             j, ii = divmod(p, n)
             return ii * m + j
 
-        lhs = state_kernel(rs.as_state())
+        lhs = state_kernel(rs)
         rhs = kernel_compose(
             index_map_kernel(number_finset(m * n), number_finset(n * m), transpose),
-            state_kernel(sr.as_state()),
+            state_kernel(sr),
         )
         return (lhs, rhs)
 
     laws.append(Law("Sec4.bullet_comm", "r * s = s * r up to transposition", ("r", "s"), bullet_comm))
 
     def comp_right(i: Instance):
-        fs = i.kernel_list(i.r.length, i.X, i.Y)
+        fs = i.kernel_list(len(i.r.carrier), i.X, i.Y)
         g = i.g()
         if fs is None or g is None:
             return None
@@ -445,7 +443,7 @@ def _core_laws() -> list[Law]:
     laws.append(Law("Lemma4.2.comp_right", "(sum_i r.f_i) . g = sum_i r.(f_i . g)", ("X", "Y", "r", "gkind"), comp_right))
 
     def comp_left(i: Instance):
-        fs = i.kernel_list(i.r.length, i.X, i.Y)
+        fs = i.kernel_list(len(i.r.carrier), i.X, i.Y)
         h = i.g()
         if fs is None or h is None:
             return None
@@ -456,7 +454,7 @@ def _core_laws() -> list[Law]:
     laws.append(Law("Lemma4.2.comp_left", "h . (sum_i r.f_i) = sum_i r.(h . f_i)", ("X", "Y", "r", "gkind"), comp_left))
 
     def par_right(i: Instance):
-        fs = i.kernel_list(i.r.length, i.X, i.Y)
+        fs = i.kernel_list(len(i.r.carrier), i.X, i.Y)
         g = i.g()
         if fs is None or g is None:
             return None
@@ -467,7 +465,7 @@ def _core_laws() -> list[Law]:
     laws.append(Law("Lemma4.2.tensor_right", "sum_i r.(f_i (x) g) = (sum_i r.f_i) (x) g", ("X", "Y", "r", "gkind"), par_right))
 
     def par_left(i: Instance):
-        fs = i.kernel_list(i.r.length, i.X, i.Y)
+        fs = i.kernel_list(len(i.r.carrier), i.X, i.Y)
         g = i.g()
         if fs is None or g is None:
             return None
@@ -481,13 +479,13 @@ def _core_laws() -> list[Law]:
         f = i.f()
         if f is None:
             return None
-        return (convex_sum(i.r, [f] * i.r.length), f)
+        return (convex_sum(i.r, [f] * len(i.r.carrier)), f)
 
     laws.append(Law("Lemma4.2.constant", "sum_i r.f = f", ("X", "Y", "r", "fkind"), constant))
 
     def double_sum(i: Instance):
-        fs = i.kernel_list(i.r.length, i.X, i.Y)
-        gs = i.kernel_list(i.s.length, i.Y, i.X)
+        fs = i.kernel_list(len(i.r.carrier), i.X, i.Y)
+        gs = i.kernel_list(len(i.s.carrier), i.Y, i.X)
         if fs is None or gs is None:
             return None
         lhs = kernel_compose(convex_sum(i.s, gs), convex_sum(i.r, fs))
@@ -499,13 +497,13 @@ def _core_laws() -> list[Law]:
     laws.append(Law(
         "Chk.fractional_series", "fractional series = codiagonal cotuple after unif", ("nums",),
         lambda i: (
-            state_kernel(fractional_series(i.nums).as_state()),
+            state_kernel(fractional_series(i.nums)),
             _fractional_composite(i.nums),
         ),
     ))
 
     def convex_composite(i: Instance):
-        fs = i.kernel_list(i.r.length, i.X, i.Y)
+        fs = i.kernel_list(len(i.r.carrier), i.X, i.Y)
         if fs is None:
             return None
         return (convex_sum(i.r, fs), _convex_sum_composite(i.r, fs))
@@ -566,7 +564,7 @@ def _multiset_laws() -> list[Law]:
         lambda i: (
             multisets.perm_kernel(i.X, i.K),
             convex_sum(
-                uniform_series(math.factorial(i.K)),
+                uniform_state(math.factorial(i.K)),
                 [permutation_kernel(i.X, s) for s in all_permutations(i.K)],
             ),
         ),
@@ -577,7 +575,7 @@ def _multiset_laws() -> list[Law]:
         "Eq2.eps_sum", "eps = sum over coordinates of unif_K.proj_i", ("X", "K"),
         lambda i: (
             multisets.epsilon_kernel(i.X, i.K),
-            convex_sum(uniform_series(i.K), [projection_kernel(i.X, i.K, j) for j in range(1, i.K + 1)]),
+            convex_sum(uniform_state(i.K), [projection_kernel(i.X, i.K, j) for j in range(1, i.K + 1)]),
         ),
         applies=lambda i: i.K >= 1,
     ))
@@ -685,7 +683,7 @@ def _multiset_laws() -> list[Law]:
         "Lemma5.4.acc_arr", "acc . arr = id", ("X", "K"),
         lambda i: (
             kernel_compose(multisets.acc_kernel(i.X, i.K), multisets.arr_kernel(i.X, i.K)),
-            identity_kernel(multisets.mspace(i.X, i.K)),
+            identity_kernel(multisets.multiset_space(i.X, i.K)),
         ),
     ))
     laws.append(Law(
@@ -697,7 +695,7 @@ def _multiset_laws() -> list[Law]:
     ))
 
     def zero_final(i: Instance):
-        M0 = multisets.mspace(i.X, 0)
+        M0 = multisets.multiset_space(i.X, 0)
         acc0 = multisets.acc_kernel(i.X, 0)
         bang = discard_kernel(M0)
         return [
@@ -711,7 +709,7 @@ def _multiset_laws() -> list[Law]:
         acc1 = multisets.acc_kernel(i.X, 1)
         arr1 = multisets.arr_kernel(i.X, 1)
         return [
-            (kernel_compose(acc1, arr1), identity_kernel(multisets.mspace(i.X, 1))),
+            (kernel_compose(acc1, arr1), identity_kernel(multisets.multiset_space(i.X, 1))),
             (kernel_compose(arr1, acc1), identity_kernel(i.X)),
             (arr1, multisets.flrn_kernel(i.X, 1)),
         ]
@@ -720,7 +718,7 @@ def _multiset_laws() -> list[Law]:
 
     def unit_final(i: Instance):
         one = unit_finset()
-        MK = multisets.mspace(one, i.K)
+        MK = multisets.multiset_space(one, i.K)
         point = kernel_compose(
             multisets.acc_kernel(one, i.K), reindex_kernel(one, power_finset(one, i.K))
         )
@@ -735,7 +733,7 @@ def _multiset_laws() -> list[Law]:
 
     laws.append(Law(
         "Lemma5.5.empty_initial", "M[K](0) is final for K=0 and initial for K>0", ("K",),
-        lambda i: (len(multisets.mspace(make_finset(()), i.K)), 1 if i.K == 0 else 0),
+        lambda i: (len(multisets.multiset_space(make_finset(()), i.K)), 1 if i.K == 0 else 0),
     ))
 
     laws.append(Law(
@@ -779,7 +777,7 @@ def _multiset_laws() -> list[Law]:
         lambda i: (
             multisets.del_kernel(i.X, i.K),
             convex_sum(
-                uniform_series(i.K + 1),
+                uniform_state(i.K + 1),
                 [multisets.drop_kernel(i.X, i.K, j) for j in range(1, i.K + 2)],
             ),
         ),
@@ -853,7 +851,7 @@ def _algebra_laws() -> list[Law]:
 
     def sum_assoc(i: Instance):
         X, K, L, N = i.X, i.K, i.L, i.N
-        MK, ML, MN = multisets.mspace(X, K), multisets.mspace(X, L), multisets.mspace(X, N)
+        MK, ML, MN = multisets.multiset_space(X, K), multisets.multiset_space(X, L), multisets.multiset_space(X, N)
         lhs = kernel_compose(
             algebra.msum_kernel(X, K + L, N),
             kernel_tensor(algebra.msum_kernel(X, K, L), identity_kernel(MN)),
@@ -876,7 +874,7 @@ def _algebra_laws() -> list[Law]:
         lambda i: (
             kernel_compose(
                 algebra.msum_kernel(i.X, i.L, i.K),
-                swap_kernel(multisets.mspace(i.X, i.K), multisets.mspace(i.X, i.L)),
+                swap_kernel(multisets.multiset_space(i.X, i.K), multisets.multiset_space(i.X, i.L)),
             ),
             algebra.msum_kernel(i.X, i.K, i.L),
         ),
@@ -884,8 +882,8 @@ def _algebra_laws() -> list[Law]:
     ))
 
     def sum_unit(i: Instance):
-        MK = multisets.mspace(i.X, i.K)
-        M0 = multisets.mspace(i.X, 0)
+        MK = multisets.multiset_space(i.X, i.K)
+        M0 = multisets.multiset_space(i.X, 0)
         pad = kernel_from_function(
             MK, tensor_finset(M0, MK), lambda mm: (_empty_multiset(i.X), mm)
         )
@@ -919,7 +917,7 @@ def _algebra_laws() -> list[Law]:
         lambda i: (
             kernel_compose(
                 algebra.mu_kernel(i.X, i.K, i.L),
-                multisets.acc_kernel(multisets.mspace(i.X, i.L), i.K),
+                multisets.acc_kernel(multisets.multiset_space(i.X, i.L), i.K),
             ),
             algebra.ksum_kernel(i.X, i.K, i.L),
         ),
@@ -959,9 +957,9 @@ def _algebra_laws() -> list[Law]:
         lambda i: (
             kernel_compose(
                 algebra.mu_kernel(i.X, 1, i.K),
-                multisets.acc_kernel(multisets.mspace(i.X, i.K), 1),
+                multisets.acc_kernel(multisets.multiset_space(i.X, i.K), 1),
             ),
-            identity_kernel(multisets.mspace(i.X, i.K)),
+            identity_kernel(multisets.multiset_space(i.X, i.K)),
         ),
     ))
     laws.append(Law(
@@ -971,7 +969,7 @@ def _algebra_laws() -> list[Law]:
                 algebra.mu_kernel(i.X, i.K, 1),
                 multisets.mset_map(multisets.acc_kernel(i.X, 1), i.K),
             ),
-            identity_kernel(multisets.mspace(i.X, i.K)),
+            identity_kernel(multisets.multiset_space(i.X, i.K)),
         ),
     ))
 
@@ -979,7 +977,7 @@ def _algebra_laws() -> list[Law]:
         X, K, L, N = i.X, i.K, i.L, i.N
         lhs = kernel_compose(
             algebra.mu_kernel(X, K * L, N),
-            algebra.mu_kernel(multisets.mspace(X, N), K, L),
+            algebra.mu_kernel(multisets.multiset_space(X, N), K, L),
         )
         rhs = kernel_compose(
             algebra.mu_kernel(X, K, L * N),
@@ -1025,7 +1023,7 @@ def _algebra_laws() -> list[Law]:
 
     def mzip_assoc(i: Instance):
         X, Y, K = i.X, i.Y, i.K
-        MX, MY = multisets.mspace(X, K), multisets.mspace(Y, K)
+        MX, MY = multisets.multiset_space(X, K), multisets.multiset_space(Y, K)
         lhs = kernel_compose(
             algebra.mzip_kernel(tensor_finset(X, Y), X, K),
             kernel_tensor(algebra.mzip_kernel(X, Y, K), identity_kernel(MX)),
@@ -1049,7 +1047,7 @@ def _algebra_laws() -> list[Law]:
         one = unit_finset()
         unpad = kernel_from_function(tensor_finset(X, one), X, lambda p: p[0])
         lhs = kernel_compose(multisets.mset_map(unpad, K), algebra.mzip_kernel(X, one, K))
-        rhs = _proj1(multisets.mspace(X, K), multisets.mspace(one, K))
+        rhs = _proj1(multisets.multiset_space(X, K), multisets.multiset_space(one, K))
         return (lhs, rhs)
 
     laws.append(Law("Prop7.5.unit", "M[K](unpad) . mzip = proj_1 on M[K](1)", ("X", "K"), mzip_unit))
@@ -1058,14 +1056,14 @@ def _algebra_laws() -> list[Law]:
         "Prop7.5.proj1", "M[K](proj_1) . mzip = proj_1", ("X", "Y", "K"),
         lambda i: (
             kernel_compose(multisets.mset_map(_proj1(i.X, i.Y), i.K), algebra.mzip_kernel(i.X, i.Y, i.K)),
-            _proj1(multisets.mspace(i.X, i.K), multisets.mspace(i.Y, i.K)),
+            _proj1(multisets.multiset_space(i.X, i.K), multisets.multiset_space(i.Y, i.K)),
         ),
     ))
     laws.append(Law(
         "Prop7.5.proj2", "M[K](proj_2) . mzip = proj_2", ("X", "Y", "K"),
         lambda i: (
             kernel_compose(multisets.mset_map(_proj2(i.X, i.Y), i.K), algebra.mzip_kernel(i.X, i.Y, i.K)),
-            _proj2(multisets.mspace(i.X, i.K), multisets.mspace(i.Y, i.K)),
+            _proj2(multisets.multiset_space(i.X, i.K), multisets.multiset_space(i.Y, i.K)),
         ),
     ))
 
@@ -1303,7 +1301,7 @@ def _split_laws() -> list[Law]:
         "Prop5.6.iso_left", "msplit_inv . msplit = id", ("X", "Y", "K"),
         lambda i: (
             kernel_compose(split.msplit_inv_kernel(i.X, i.Y, i.K), split.msplit_kernel(i.X, i.Y, i.K)),
-            identity_kernel(multisets.mspace(coproduct_finset((i.X, i.Y)), i.K)),
+            identity_kernel(multisets.multiset_space(coproduct_finset((i.X, i.Y)), i.K)),
         ),
     ))
     laws.append(Law(
@@ -1316,7 +1314,7 @@ def _split_laws() -> list[Law]:
 
     laws.append(Law(
         "Prop5.6.count", "|M[K](n)| = multichoose(n, K)", ("n", "K"),
-        lambda i: (len(multisets.mspace(number_finset(i.n), i.K)), split.multichoose(i.n, i.K)),
+        lambda i: (len(multisets.multiset_space(number_finset(i.n), i.K)), split.multichoose(i.n, i.K)),
     ))
     laws.append(Law(
         "Chk.multichoose_pascal", "multichoose(n+1, K) = sum_i<=K multichoose(n, i)", ("n", "K"),
@@ -1340,7 +1338,7 @@ def _split_laws() -> list[Law]:
     laws.append(Law(
         "Prop5.6.card_shadow", "|M[K](X+Y)| = sum_i mc(|X|,i) * mc(|Y|,K-i)", ("X", "Y", "K"),
         lambda i: (
-            len(multisets.mspace(coproduct_finset((i.X, i.Y)), i.K)),
+            len(multisets.multiset_space(coproduct_finset((i.X, i.Y)), i.K)),
             sum(split.multichoose(len(i.X), j) * split.multichoose(len(i.Y), i.K - j) for j in range(i.K + 1)),
         ),
     ))

@@ -28,7 +28,6 @@ from .core import (
     _guard_size,
     kernel_compose_all,
     kernel_from_function,
-    kernel_from_rows,
     kernel_power,
     power_finset,
     tuple_of,
@@ -101,32 +100,13 @@ def _count_vectors(n: int, K: int) -> Iterator[tuple[int, ...]]:
             yield (c,) + rest
 
 
-@dataclass(frozen=True)
-class MultisetSpace:
-    """The enumerated carrier of all size-K multisets over a base."""
-
-    base: FinSet
-    size: int
-    finset: FinSet
-
-    def index(self, m: Multiset) -> int:
-        return self.finset.index[m]
-
-    def __len__(self) -> int:
-        return len(self.finset)
-
-    def __iter__(self) -> Iterator[Multiset]:
-        return iter(self.finset)  # type: ignore[arg-type]
-
-
 @cache
-def _multiset_space_cached(X: FinSet, K: int) -> MultisetSpace:
-    elems = tuple(Multiset(X, v) for v in _count_vectors(len(X), K))
-    return MultisetSpace(X, K, FinSet(elems))
+def _multiset_space_cached(X: FinSet, K: int) -> FinSet:
+    return FinSet(tuple(Multiset(X, v) for v in _count_vectors(len(X), K)))
 
 
-def multiset_space(X: FinSet, K: int) -> MultisetSpace:
-    """All size-K multisets over X; M[0](X) is a singleton, M[K](0) empty for K > 0."""
+def multiset_space(X: FinSet, K: int) -> FinSet:
+    """The carrier M[K](X): all size-K multisets over X; M[0](X) is a singleton, M[K](0) empty for K > 0."""
     if K < 0:
         raise ValueError("multiset size must be nonnegative")
     if len(X) > 0:
@@ -134,22 +114,17 @@ def multiset_space(X: FinSet, K: int) -> MultisetSpace:
     return _multiset_space_cached(X, K)
 
 
-def mspace(X: FinSet, K: int) -> FinSet:
-    """Shorthand for the carrier FinSet of M[K](X)."""
-    return multiset_space(X, K).finset
-
-
 @cache
 def acc_kernel(X: FinSet, K: int) -> Kernel:
     """The accumulation quotient map X^K -> M[K](X)."""
-    M = mspace(X, K)
+    M = multiset_space(X, K)
     return kernel_from_function(power_finset(X, K), M, lambda t: acc_of_seq(X, tuple_of(K, t)))
 
 
 @cache
 def section_kernel(X: FinSet, K: int) -> Kernel:
     """The canonical section M[K](X) -> X^K picking the representative word."""
-    return kernel_from_function(mspace(X, K), power_finset(X, K), lambda m: untuple(K, m.word()))
+    return kernel_from_function(multiset_space(X, K), power_finset(X, K), lambda m: untuple(K, m.word()))
 
 
 def _arrangements(m: Multiset) -> Iterator[tuple[Label, ...]]:
@@ -173,11 +148,12 @@ def _arrangements(m: Multiset) -> Iterator[tuple[Label, ...]]:
 def arr_kernel(X: FinSet, K: int) -> Kernel:
     """Arrangement: each multiset goes uniformly to its distinct orderings."""
     P = power_finset(X, K)
+    M = multiset_space(X, K)
     rows = []
-    for m in multiset_space(X, K):
+    for m in M:
         w = Fraction(math.prod(math.factorial(c) for c in m.counts), math.factorial(K))
         rows.append(Dist(P, tuple((untuple(K, t), w) for t in _arrangements(m))))
-    return kernel_from_rows(mspace(X, K), P, rows)
+    return Kernel(M, P, tuple(rows))
 
 
 @cache
@@ -190,9 +166,9 @@ def perm_kernel(X: FinSet, K: int) -> Kernel:
     """
     P = power_finset(X, K)
     arr = arr_kernel(X, K)
-    space = multiset_space(X, K)
-    rows = [arr.rows[space.index(acc_of_seq(X, tuple_of(K, t)))] for t in P]
-    return kernel_from_rows(P, P, rows)
+    M = multiset_space(X, K)
+    rows = [arr.rows[M.index[acc_of_seq(X, tuple_of(K, t))]] for t in P]
+    return Kernel(P, P, tuple(rows))
 
 
 @cache
@@ -208,7 +184,7 @@ def epsilon_kernel(X: FinSet, K: int) -> Kernel:
         for c in tuple_of(K, t):
             out[c] = out.get(c, ZERO) + w
         rows.append(Dist(X, tuple(out.items())))
-    return kernel_from_rows(P, X, rows)
+    return Kernel(P, X, tuple(rows))
 
 
 @cache
@@ -216,10 +192,9 @@ def flrn_kernel(X: FinSet, K: int) -> Kernel:
     """Frequentist learning: normalise a multiset to its relative frequencies."""
     if K < 1:
         raise ValueError("frequency normalisation needs K >= 1")
-    rows = []
-    for m in multiset_space(X, K):
-        rows.append(Dist(X, tuple((x, Fraction(c, K)) for x, c in m.items())))
-    return kernel_from_rows(mspace(X, K), X, rows)
+    M = multiset_space(X, K)
+    rows = tuple(Dist(X, tuple((x, Fraction(c, K)) for x, c in m.items())) for m in M)
+    return Kernel(M, X, rows)
 
 
 def drop_kernel(X: FinSet, K: int, i: int) -> Kernel:
@@ -248,19 +223,19 @@ def del_kernel(X: FinSet, K: int) -> Kernel:
             y = untuple(K, coords[:i] + coords[i + 1 :])
             out[y] = out.get(y, ZERO) + w
         rows.append(Dist(Pout, tuple(out.items())))
-    return kernel_from_rows(Pin, Pout, rows)
+    return Kernel(Pin, Pout, tuple(rows))
 
 
 @cache
 def dd_kernel(X: FinSet, K: int) -> Kernel:
     """Draw-and-delete: remove one uniformly drawn element from a size-K+1 urn."""
-    Min = mspace(X, K + 1)
-    Mout = mspace(X, K)
+    Min = multiset_space(X, K + 1)
+    Mout = multiset_space(X, K)
     rows = []
-    for m in multiset_space(X, K + 1):
+    for m in Min:
         items = tuple((m.minus(x), Fraction(c, K + 1)) for x, c in m.items())
         rows.append(Dist(Mout, items))
-    return kernel_from_rows(Min, Mout, rows)
+    return Kernel(Min, Mout, tuple(rows))
 
 
 @cache

@@ -29,7 +29,7 @@ from .core import (
     tuple_of,
     untuple,
 )
-from .multisets import Multiset, acc_of_seq, mspace
+from .multisets import Multiset, acc_of_seq, multiset_space
 
 
 def multichoose(n: int, K: int) -> int:
@@ -100,7 +100,7 @@ def lsplit_inv_kernel(X: FinSet, Y: FinSet, K: int) -> Kernel:
 def msplit_space(X: FinSet, Y: FinSet, K: int) -> FinSet:
     """The split-multiset carrier: per part size i, M[i](X) (x) M[K-i](Y)."""
     return coproduct_finset(
-        tuple(tensor_finset(mspace(X, i), mspace(Y, K - i)) for i in range(K + 1))
+        tuple(tensor_finset(multiset_space(X, i), multiset_space(Y, K - i)) for i in range(K + 1))
     )
 
 
@@ -121,7 +121,7 @@ def accs_kernel(X: FinSet, Y: FinSet, K: int) -> Kernel:
 @cache
 def msplit_kernel(X: FinSet, Y: FinSet, K: int) -> Kernel:
     """Split a multiset over X + Y into its X part and Y part."""
-    dom = mspace(coproduct_finset((X, Y)), K)
+    dom = multiset_space(coproduct_finset((X, Y)), K)
     cod = msplit_space(X, Y, K)
 
     def split(m: Label) -> Label:
@@ -143,7 +143,7 @@ def msplit_inv_kernel(X: FinSet, Y: FinSet, K: int) -> Kernel:
     """Merge an (X part, Y part) pair back into one multiset over X + Y."""
     XY = coproduct_finset((X, Y))
     dom = msplit_space(X, Y, K)
-    cod = mspace(XY, K)
+    cod = multiset_space(XY, K)
 
     def merge(z: Label) -> Label:
         mx, my = z.value

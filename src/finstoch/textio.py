@@ -71,8 +71,13 @@ def parse_urn(text: str) -> Multiset:
         try:
             obj = json.loads(text)
             colors, counts = obj["colors"], obj["counts"]
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, RecursionError) as exc:
             raise FormatError(f"bad urn JSON: {exc}") from None
+        if not isinstance(colors, list) or not all(isinstance(c, str) and c for c in colors):
+            raise FormatError("urn colors must be a list of non-empty strings")
+        # bool is a subclass of int, but true is not a count
+        if not isinstance(counts, list) or not all(type(c) is int for c in counts):
+            raise FormatError("urn counts must be a list of integers")
         if len(colors) != len(counts):
             raise FormatError("colors and counts must have equal length")
         entries = list(zip(colors, counts))

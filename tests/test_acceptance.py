@@ -29,7 +29,6 @@ from finstoch import (
     lsplit_kernel,
     make_dist,
     make_finset,
-    mspace,
     msplit_inv_kernel,
     msplit_kernel,
     msplit_space,
@@ -134,7 +133,7 @@ def test_criterion_5_split_round_trip(capsys):
             for K in range(4):
                 fwd, back = msplit_kernel(X, Y, K), msplit_inv_kernel(X, Y, K)
                 ok = ok and kernel_equal(
-                    kernel_compose(back, fwd), identity_kernel(mspace(XY, K))
+                    kernel_compose(back, fwd), identity_kernel(multiset_space(XY, K))
                 )
                 ok = ok and kernel_equal(
                     kernel_compose(fwd, back), identity_kernel(msplit_space(X, Y, K))

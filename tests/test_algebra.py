@@ -21,7 +21,6 @@ from finstoch import (
     kernel_tensor,
     ksum_kernel,
     make_finset,
-    mspace,
     msum,
     msum_kernel,
     mu_kernel,
@@ -155,21 +154,21 @@ class TestKsumMu:
 
     def test_ksum_k1_identity_like(self):
         k = ksum_kernel(AB, 1, 2)
-        assert kernel_equal(k, identity_kernel(mspace(AB, 2)))
+        assert kernel_equal(k, identity_kernel(multiset_space(AB, 2)))
 
     def test_ksum_l0_point_mass(self):
         k = ksum_kernel(AB, 2, 0)
         assert all(row.support == (Multiset(AB, (0, 0)),) for row in k.rows)
 
     def test_mu_flattens_with_multiplicity(self):
-        inner_space = mspace(AB, 2)
+        inner_space = multiset_space(AB, 2)
         mixed = Multiset(AB, (1, 1))
         outer = Multiset(inner_space, tuple(2 if m == mixed else 0 for m in inner_space))
         row = mu_kernel(AB, 2, 2).row(outer)
         assert row.support == (Multiset(AB, (2, 2)),)
 
     def test_mu_weighted_sum(self):
-        inner_space = mspace(AB, 2)
+        inner_space = multiset_space(AB, 2)
         two_a = Multiset(AB, (2, 0))
         mixed = Multiset(AB, (1, 1))
         outer = Multiset(inner_space, tuple(1 if m in (two_a, mixed) else 0 for m in inner_space))
@@ -177,8 +176,8 @@ class TestKsumMu:
         assert row.support == (Multiset(AB, (3, 1)),)
 
     def test_mu_unit(self):
-        lhs = kernel_compose(mu_kernel(AB, 1, 3), acc_kernel(mspace(AB, 3), 1))
-        assert kernel_equal(lhs, identity_kernel(mspace(AB, 3)))
+        lhs = kernel_compose(mu_kernel(AB, 1, 3), acc_kernel(multiset_space(AB, 3), 1))
+        assert kernel_equal(lhs, identity_kernel(multiset_space(AB, 3)))
 
     def test_stack_and_ksum_square(self):
         K, L = 2, 2

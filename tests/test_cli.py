@@ -1,6 +1,8 @@
 """The command-line interface: rendered output, exit codes, JSON."""
 
 import json
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -125,6 +127,40 @@ class TestUrnCommands:
     def test_empty_urn_dd_rejected(self, capsys):
         code, _, err = run_cli(capsys, "dd", "--urn", "a:0")
         assert code == 2
+
+
+MALFORMED_URNS = [
+    '{"colors": ["a", "b"], "counts": [1.5, 1]}',
+    '{"colors": ["a", "b"], "counts": [2.0, 1]}',
+    '{"colors": ["a", "b"], "counts": ["1", 1]}',
+    '{"colors": ["a", "b"], "counts": 5}',
+    '{"colors": [["a"], "b"], "counts": [1, 1]}',
+    '{"colors": "ab", "counts": [2, 1]}',
+    '{"colors": ["a", "b"], "counts": [true, 1]}',
+]
+
+
+@pytest.mark.parametrize("urn", MALFORMED_URNS)
+@pytest.mark.parametrize(
+    "command",
+    [
+        lambda urn: ("flrn", "--urn", urn),
+        lambda urn: ("hypergeometric", "--urn", urn, "--draws", "1"),
+        lambda urn: ("mzip", "--left", urn, "--right", "c:1,d:1"),
+    ],
+    ids=["flrn", "hypergeometric", "mzip"],
+)
+def test_malformed_json_urn_exits_2(capsys, command, urn):
+    code, out, err = run_cli(capsys, *command(urn))
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_query_commands_do_not_import_the_law_runner():
+    probe = "import sys, finstoch.cli; print({'finstoch.laws', 'concurrent.futures'} & set(sys.modules))"
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "set()"
 
 
 class TestLawsCommand:

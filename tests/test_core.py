@@ -7,7 +7,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from finstoch import (
-    ConvexSeries,
     Permutation,
     Tagged,
     constant_kernel,
@@ -23,7 +22,6 @@ from finstoch import (
     is_deterministic,
     kernel_compose,
     kernel_equal,
-    kernel_from_rows,
     kernel_power,
     kernel_tensor,
     make_dist,
@@ -36,7 +34,6 @@ from finstoch import (
     series_bullet,
     state_kernel,
     tensor_finset,
-    uniform_series,
     uniform_state,
     unit_finset,
 )
@@ -134,9 +131,9 @@ class TestKernel:
 
     def test_compose_matrix_product_by_hand(self):
         # generic 2x2 into a constant fair coin: every row becomes (1/2, 1/2)
-        f = kernel_from_rows(
+        f = Kernel(
             AB, AB,
-            [make_dist(AB, {"a": F(1, 4), "b": F(3, 4)}), make_dist(AB, {"a": F(2, 5), "b": F(3, 5)})],
+            (make_dist(AB, {"a": F(1, 4), "b": F(3, 4)}), make_dist(AB, {"a": F(2, 5), "b": F(3, 5)})),
         )
         g = constant_kernel(AB, fair_ab())
         expected = constant_kernel(AB, fair_ab())
@@ -266,40 +263,40 @@ class TestPermutation:
 class TestConvex:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            convex_sum(uniform_series(2), [identity_kernel(AB)])
+            convex_sum(uniform_state(2), [identity_kernel(AB)])
 
     def test_constant_collection(self):
         f = constant_kernel(AB, biased_ab())
-        assert kernel_equal(convex_sum(uniform_series(3), [f, f, f]), f)
+        assert kernel_equal(convex_sum(uniform_state(3), [f, f, f]), f)
         assert kernel_equal(
             convex_sum(fractional_series((1, 3)), [identity_kernel(AB)] * 2), identity_kernel(AB)
         )
 
     def test_mix_of_diracs_is_fair(self):
         k = convex_sum(
-            uniform_series(2), [state_kernel(dirac(AB, "a")), state_kernel(dirac(AB, "b"))]
+            uniform_state(2), [state_kernel(dirac(AB, "a")), state_kernel(dirac(AB, "b"))]
         )
         assert k.rows[0] == fair_ab()
 
     def test_series_bullet(self):
-        r = ConvexSeries((F(1, 3), F(2, 3)))
-        s = ConvexSeries((F(1, 2), F(1, 2)))
+        r = fractional_series((1, 2))
+        s = uniform_state(2)
         assert series_bullet(r, s).weights == (F(1, 6), F(1, 6), F(1, 3), F(1, 3))
-        assert series_bullet(uniform_series(2), uniform_series(3)) == uniform_series(6)
-        assert series_bullet(r, ConvexSeries((F(1),))) == r
+        assert series_bullet(uniform_state(2), uniform_state(3)) == uniform_state(6)
+        assert series_bullet(r, uniform_state(1)) == r
 
     def test_bullet_transpose(self):
-        r = ConvexSeries((F(1, 3), F(2, 3)))
-        s = ConvexSeries((F(1, 2), F(1, 2)))
+        r = fractional_series((1, 2))
+        s = uniform_state(2)
         rs, sr = series_bullet(r, s), series_bullet(s, r)
-        n, m = r.length, s.length
+        n, m = len(r.carrier), len(s.carrier)
         transposed = tuple(sr.weights[j * n + i] for i in range(n) for j in range(m))
         assert rs.weights == transposed
 
     def test_fractional_series(self):
         assert fractional_series((1, 3, 2)).weights == (F(1, 6), F(1, 2), F(1, 3))
         assert fractional_series((1,)).weights == (F(1),)
-        assert fractional_series((2, 2)) == uniform_series(2)
+        assert fractional_series((2, 2)) == uniform_state(2)
         with pytest.raises(ValueError):
             fractional_series((0, 0))
 
@@ -336,7 +333,7 @@ class TestKernelEqual:
 
 @given(st.integers(1, 30), st.integers(1, 6))
 def test_uniform_series_weights(n, _k):
-    s = uniform_series(n)
+    s = uniform_state(n)
     assert sum(s.weights) == 1
     assert len(set(s.weights)) == 1
 

@@ -17,7 +17,6 @@ from finstoch import (
     kernel_equal,
     make_dist,
     make_finset,
-    mspace,
     multinomial_kernel,
     multinomial_pmf_kernel,
     multiset_space,
@@ -103,7 +102,7 @@ class TestHypergeometric:
         assert row.as_dict == {Multiset(AB, (2, 0)): F(1, 3), Multiset(AB, (1, 1)): F(2, 3)}
 
     def test_equal_sizes_identity(self):
-        assert kernel_equal(hypergeometric_kernel(AB, 2, 2), identity_kernel(mspace(AB, 2)))
+        assert kernel_equal(hypergeometric_kernel(AB, 2, 2), identity_kernel(multiset_space(AB, 2)))
 
     def test_zero_draws_point_mass(self):
         hg = hypergeometric_kernel(AB, 3, 0)
@@ -131,4 +130,4 @@ class TestHypergeometric:
     def test_pure_urn(self):
         hg = hypergeometric_kernel(make_finset(["a"]), 3, 2)
         row = hg.rows[0]
-        assert row == dirac(mspace(make_finset(["a"]), 2), Multiset(make_finset(["a"]), (2,)))
+        assert row == dirac(multiset_space(make_finset(["a"]), 2), Multiset(make_finset(["a"]), (2,)))

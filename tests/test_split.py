@@ -15,7 +15,6 @@ from finstoch import (
     lsplit_inv_kernel,
     lsplit_kernel,
     make_finset,
-    mspace,
     msplit_inv_kernel,
     msplit_kernel,
     msplit_space,
@@ -139,7 +138,7 @@ class TestMsplit:
         for K in range(4):
             fwd = msplit_kernel(X2, Y2, K)
             back = msplit_inv_kernel(X2, Y2, K)
-            M = mspace(coproduct_finset((X2, Y2)), K)
+            M = multiset_space(coproduct_finset((X2, Y2)), K)
             assert kernel_equal(kernel_compose(back, fwd), identity_kernel(M))
             assert kernel_equal(kernel_compose(fwd, back), identity_kernel(msplit_space(X2, Y2, K)))
 
@@ -153,7 +152,7 @@ class TestMsplit:
 
     def test_cardinality_shadow(self):
         for K in range(5):
-            total = len(mspace(coproduct_finset((X2, Y2)), K))
+            total = len(multiset_space(coproduct_finset((X2, Y2)), K))
             assert total == sum(
                 multichoose(len(X2), i) * multichoose(len(Y2), K - i) for i in range(K + 1)
             )

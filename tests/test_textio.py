@@ -1,8 +1,11 @@
 """Text and JSON formats for distributions and urns."""
 
+import json
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from finstoch import Multiset, Tagged, make_dist, make_finset
 from finstoch.textio import (
@@ -68,6 +71,30 @@ class TestParseUrn:
     def test_rejects_mismatched_json(self):
         with pytest.raises(FormatError):
             parse_urn('{"colors": ["a"], "counts": [1, 2]}')
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=8,
+)
+
+
+def parses_or_format_error(text: str) -> None:
+    try:
+        parse_urn(text)
+    except FormatError:
+        pass
+
+
+@given(st.text() | st.text().map(lambda t: "{" + t))
+def test_any_urn_text_parses_or_raises_format_error(text):
+    parses_or_format_error(text)
+
+
+@given(st.lists(st.text(), max_size=4) | JSON_VALUES, st.lists(st.integers(), max_size=4) | JSON_VALUES)
+def test_any_json_urn_parses_or_raises_format_error(colors, counts):
+    parses_or_format_error(json.dumps({"colors": colors, "counts": counts}))
 
 
 class TestRendering:
