@@ -121,6 +121,8 @@ def cmd_laws(args) -> int:
             y_sizes=grid.y_sizes,
             k_values=tuple(k for k in grid.k_values if k <= args.max_k),
         )
+    if args.jobs < 1:
+        raise UsageError("--jobs must be at least 1")
     selection = args.law if args.law else None
     if selection is not None:
         known = {law.id for law in law_registry()}

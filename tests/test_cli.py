@@ -163,6 +163,30 @@ def test_query_commands_do_not_import_the_law_runner():
     assert result.stdout.strip() == "set()"
 
 
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """Stand in for the law runner's process pool; record each pool's size."""
+    from finstoch import laws
+
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(laws, "ProcessPoolExecutor", SerialPool)
+    return sizes
+
+
 class TestLawsCommand:
     def test_single_law_passes(self, capsys):
         code, out, _ = run_cli(capsys, "laws", "--law", "Thm8.3.flrn", "--max-set", "2", "--max-k", "2")
@@ -185,6 +209,22 @@ class TestLawsCommand:
 
     def test_usage_error_exits_2(self, capsys):
         assert main(["multinomial", "--k", "2"]) == 2
+
+    def test_jobs_capped_at_one_worker_per_law(self, capsys, serial_pool):
+        code, out, _ = run_cli(
+            capsys, "laws", "--law", "Eq3.dd_square", "--law", "Lemma5.4.acc_arr", "--jobs", "1000000"
+        )
+        assert code == 0
+        assert serial_pool == [2]
+        assert "Eq3.dd_square" in out and "Lemma5.4.acc_arr" in out
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exits_2(self, capsys, serial_pool, jobs):
+        code, out, err = run_cli(capsys, "laws", "--law", "Eq3.dd_square", "--jobs", jobs)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert serial_pool == []
 
 
 class TestSumToOneEverywhere:

@@ -1,6 +1,8 @@
 """The law registry and its grid runner: contracts, determinism, sensitivity."""
 
 import json
+import pathlib
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -10,6 +12,7 @@ from finstoch.core import Dist, Kernel, unchecked_weights
 from finstoch.laws import (
     GridSpec,
     Instance,
+    law,
     law_by_id,
     law_registry,
     make_kernel,
@@ -52,12 +55,27 @@ class TestRegistry:
             assert law.dims
 
     def test_catalogue_doc_in_sync(self):
-        import pathlib
-
         doc = pathlib.Path(__file__).resolve().parent.parent / "docs" / "LAWS.md"
-        text = doc.read_text()
-        for law in law_registry():
-            assert f"`{law.id}`" in text, f"{law.id} missing from docs/LAWS.md"
+        lines = doc.read_text().splitlines()
+        rows = []
+        for line in lines:
+            if not line.startswith("| `"):
+                continue
+            # cells split on unescaped pipes; an escaped pipe is part of a cell
+            cells = [c.strip() for c in re.split(r"(?<!\\)\|", line)[1:-1]]
+            assert len(cells) == 3, line
+            ident, statement, dims = cells
+            assert ident[0] == ident[-1] == "`" and statement[0] == statement[-1] == "`", line
+            rows.append((ident[1:-1], statement[1:-1].replace("\\|", "|"), dims))
+        registry = law_registry()
+        assert rows == [(law.id, law.ref, ", ".join(law.dims)) for law in registry]
+        assert [line for line in lines if line.strip()][-1] == f"{len(registry)} laws total."
+
+    def test_duplicate_id_refused(self):
+        before = law_registry()
+        with pytest.raises(ValueError):
+            law("Eq3.dd_square", "a second DD square", ("X", "K"))(lambda i: None)
+        assert law_registry() == before
 
 
 class TestRunner:
@@ -79,7 +97,16 @@ class TestRunner:
     def test_small_grid_all_pass(self):
         report = run_laws(SMALL)
         assert report.total_failures == 0
-        assert report.total_instances > 500
+        assert report.total_instances == 2353
+        assert report.total_skipped == 0
+
+    def test_untypeable_generators_are_not_instances(self):
+        # acc_natural spans 2*2*3*4 = 48 points; at the 6 where fkind is
+        # iso and |X| != |Y| the generator has no type and is not counted
+        counts = {"Lemma3.2.acc_natural": 42, "Lemma4.2.comp_right": 56, "Prop7.5.natural": 150}
+        report = run_laws(SMALL, selection=list(counts))
+        assert {r.law_id: r.instances for r in report.results} == counts
+        assert report.total_skipped == 0 and report.total_failures == 0
 
     def test_deterministic_reports(self):
         a = run_laws(SMALL, selection=["Lemma5.4.acc_arr", "Eq3.dd_square"]).to_json()
