@@ -22,6 +22,7 @@ with an explicit re-indexing kernel (:func:`reindex_kernel`).
 from __future__ import annotations
 
 import itertools
+import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -209,9 +210,11 @@ def _as_fraction(v) -> Fraction:
 class Dist:
     """A finitely-supported probability distribution with exact weights.
 
-    ``items`` holds the nonzero weights as (label, weight) pairs sorted
-    by carrier position, so equality and hashing are canonical.  Weights
-    are nonnegative Fractions summing to exactly 1.
+    Built from any iterable of (label, weight) pairs: the weights of a
+    repeated label add up, and labels whose total is zero are dropped.
+    ``items`` holds the nonzero totals sorted by carrier position, so
+    equality and hashing are canonical.  Weights are nonnegative
+    Fractions summing to exactly 1.
     """
 
     carrier: FinSet
@@ -219,16 +222,13 @@ class Dist:
 
     def __post_init__(self) -> None:
         index = self.carrier.index
-        cleaned = []
+        summed: dict[Label, Fraction] = {}
         for x, w in self.items:
             if x not in index:
                 raise ValueError(f"label {x!r} not in carrier")
             w = _as_fraction(w)
-            if w != 0:
-                cleaned.append((x, w))
-        cleaned.sort(key=lambda xw: index[xw[0]])
-        if len({x for x, _ in cleaned}) != len(cleaned):
-            raise ValueError("duplicate labels in distribution")
+            summed[x] = summed[x] + w if x in summed else w
+        cleaned = sorted(((x, w) for x, w in summed.items() if w != 0), key=lambda xw: index[xw[0]])
         if _VALIDATE_WEIGHTS.get():
             if any(w < 0 for _, w in cleaned):
                 raise ValueError("negative weight in distribution")
@@ -264,7 +264,7 @@ class Dist:
 
 
 def make_dist(carrier: FinSet, weights: Mapping[Label, Fraction | int]) -> Dist:
-    return Dist(carrier, tuple(weights.items()))
+    return Dist(carrier, weights.items())
 
 
 def dirac(X: FinSet, x: Label) -> Dist:
@@ -274,7 +274,7 @@ def dirac(X: FinSet, x: Label) -> Dist:
 
 def _number_state(weights: Sequence[Fraction]) -> Dist:
     # A state on the interpreted number len(weights): a convex series.
-    return Dist(number_finset(len(weights)), tuple((str(i), w) for i, w in enumerate(weights)))
+    return Dist(number_finset(len(weights)), ((str(i), w) for i, w in enumerate(weights)))
 
 
 def uniform_state(n: int) -> Dist:
@@ -387,26 +387,17 @@ def constant_kernel(domain: FinSet, d: Dist) -> Kernel:
     return Kernel(domain, d.carrier, (d,) * len(domain))
 
 
-def _merge(acc: dict[Label, Fraction], items: Iterable[tuple[Label, Fraction]], scale: Fraction) -> None:
-    if scale == 0:
-        return
-    for y, w in items:
-        acc[y] = acc.get(y, ZERO) + scale * w
-
-
 def kernel_compose(g: Kernel, f: Kernel) -> Kernel:
     """The composite g after f (sum over intermediate states)."""
     if f.codomain != g.domain:
         raise ValueError("composition needs cod(f) == dom(g)")
-    rows = []
     g_rows = g.rows
     mid_index = f.codomain.index
-    for row in f.rows:
-        out: dict[Label, Fraction] = {}
-        for y, w in row.items:
-            _merge(out, g_rows[mid_index[y]].items, w)
-        rows.append(Dist(g.codomain, tuple(out.items())))
-    return Kernel(f.domain, g.codomain, tuple(rows))
+    rows = tuple(
+        Dist(g.codomain, ((z, w * v) for y, w in row.items for z, v in g_rows[mid_index[y]].items))
+        for row in f.rows
+    )
+    return Kernel(f.domain, g.codomain, rows)
 
 
 def kernel_compose_all(*ks: Kernel) -> Kernel:
@@ -421,8 +412,7 @@ def kernel_tensor(f: Kernel, g: Kernel) -> Kernel:
     rows = []
     for rf in f.rows:
         for rg in g.rows:
-            items = tuple(((y, b), wf * wg) for y, wf in rf.items for b, wg in rg.items)
-            rows.append(Dist(cod, items))
+            rows.append(Dist(cod, (((y, b), wf * wg) for y, wf in rf.items for b, wg in rg.items)))
     return Kernel(dom, cod, tuple(rows))
 
 
@@ -436,15 +426,11 @@ def kernel_power(f: Kernel, K: int) -> Kernel:
     cod = power_finset(f.codomain, K)
     rows = []
     for x in dom:
-        coords = tuple_of(K, x)
-        out: dict[Label, Fraction] = {}
-        for combo in itertools.product(*(f.row(c).items for c in coords)):
-            y = untuple(K, tuple(c[0] for c in combo))
-            w = ONE
-            for _, wi in combo:
-                w *= wi
-            out[y] = out.get(y, ZERO) + w
-        rows.append(Dist(cod, tuple(out.items())))
+        bag = (
+            (untuple(K, tuple(y for y, _ in combo)), math.prod((w for _, w in combo), start=ONE))
+            for combo in itertools.product(*(f.row(c).items for c in tuple_of(K, x)))
+        )
+        rows.append(Dist(cod, bag))
     return Kernel(dom, cod, tuple(rows))
 
 
@@ -521,30 +507,22 @@ def convex_sum(r: Dist, fs: Sequence[Kernel]) -> Kernel:
     dom, cod = fs[0].domain, fs[0].codomain
     if any(f.domain != dom or f.codomain != cod for f in fs):
         raise ValueError("convex sum components must share domain and codomain")
-    rows = []
-    for ix in range(len(dom)):
-        out: dict[Label, Fraction] = {}
-        for w, f in zip(r.weights, fs):
-            _merge(out, f.rows[ix].items, w)
-        rows.append(Dist(cod, tuple(out.items())))
-    return Kernel(dom, cod, tuple(rows))
+    rows = tuple(
+        Dist(cod, ((y, w * v) for w, f in zip(r.weights, fs) if w for y, v in f.rows[ix].items))
+        for ix in range(len(dom))
+    )
+    return Kernel(dom, cod, rows)
 
 
 def is_deterministic(f: Kernel) -> bool:
     """Whether f commutes with copying: (f (x) f) . copy == copy . f.
 
-    Evaluated row by row; in this model it holds exactly when every row
-    is a point mass.
+    In this model that holds exactly when every row is a point mass.
     """
-    for row in f.rows:
-        paired: dict[Label, Fraction] = {}
-        for y1, w1 in row.items:
-            for y2, w2 in row.items:
-                paired[(y1, y2)] = paired.get((y1, y2), ZERO) + w1 * w2
-        copied = {(y, y): w for y, w in row.items}
-        if paired != copied:
-            return False
-    return True
+    return kernel_equal(
+        kernel_compose(kernel_tensor(f, f), copy_kernel(f.domain, 2)),
+        kernel_compose(copy_kernel(f.codomain, 2), f),
+    )
 
 
 def kernel_equal(f: Kernel, g: Kernel) -> bool:

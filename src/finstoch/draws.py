@@ -44,9 +44,8 @@ def multinomial_pmf_kernel(f: Kernel, K: int) -> Kernel:
             w = Fraction(k_fact, math.prod(math.factorial(c) for c in m.counts))
             for y, c in m.items():
                 w *= p.weight(y) ** c
-            if w != 0:
-                items.append((m, w))
-        rows.append(Dist(M, tuple(items)))
+            items.append((m, w))
+        rows.append(Dist(M, items))
     return Kernel(f.domain, M, tuple(rows))
 
 
@@ -70,7 +69,7 @@ def hypergeometric_kernel(X: FinSet, L: int, K: int) -> Kernel:
             if all(c <= u for c, u in zip(m.counts, urn.counts)):
                 num = math.prod(math.comb(u, c) for u, c in zip(urn.counts, m.counts))
                 items.append((m, Fraction(num, denom)))
-        rows.append(Dist(Mout, tuple(items)))
+        rows.append(Dist(Mout, items))
     return Kernel(Min, Mout, tuple(rows))
 
 

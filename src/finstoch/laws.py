@@ -30,6 +30,7 @@ from .core import (
     FinSet,
     Kernel,
     Permutation,
+    Tagged,
     all_permutations,
     carrier_limit,
     constant_kernel,
@@ -393,8 +394,6 @@ def _distribute_iso(X: FinSet, n: int) -> Kernel:
     parts = tuple(X for _ in range(n))
     dom = tensor_finset(X, num)
     cod = coproduct_finset(parts)
-    from .core import Tagged
-
     return kernel_from_function(dom, cod, lambda p: Tagged(int(p[1]), p[0]))
 
 

@@ -24,7 +24,6 @@ from .core import (
     FinSet,
     Kernel,
     Label,
-    ZERO,
     _guard_size,
     kernel_compose_all,
     kernel_from_function,
@@ -89,15 +88,23 @@ def acc_of_seq(X: FinSet, seq: Sequence[Label]) -> Multiset:
 
 
 def _count_vectors(n: int, K: int) -> Iterator[tuple[int, ...]]:
-    # First coordinate descending, so representative words come out in
+    # Descending lexicographic order, so representative words come out in
     # ascending lexicographic order over the base.
     if n == 0:
         if K == 0:
             yield ()
         return
-    for c in range(K, -1, -1):
-        for rest in _count_vectors(n - 1, K - c):
-            yield (c,) + rest
+    v = [K] + [0] * (n - 1)
+    while True:
+        yield tuple(v)
+        i = n - 2
+        while i >= 0 and v[i] == 0:
+            i -= 1
+        if i < 0:
+            return
+        # the last nonzero v[i] before the final coordinate gives one unit
+        # to v[i + 1], which also takes over the final coordinate
+        v[i], v[-1], v[i + 1] = v[i] - 1, 0, v[-1] + 1
 
 
 @cache
@@ -128,20 +135,22 @@ def section_kernel(X: FinSet, K: int) -> Kernel:
 
 
 def _arrangements(m: Multiset) -> Iterator[tuple[Label, ...]]:
-    # Distinct rearrangements of the representative word, generated
-    # recursively so no dedup pass is needed.
-    def go(counts: list[int], remaining: int) -> Iterator[tuple[Label, ...]]:
-        if remaining == 0:
-            yield ()
+    # Distinct rearrangements of the representative word, in lexicographic
+    # order by the next-permutation step, so no dedup pass is needed.
+    elems = m.base.elements
+    word = [i for i, c in enumerate(m.counts) for _ in range(c)]
+    while True:
+        yield tuple(elems[i] for i in word)
+        j = len(word) - 2
+        while j >= 0 and word[j] >= word[j + 1]:
+            j -= 1
+        if j < 0:
             return
-        for i, c in enumerate(counts):
-            if c:
-                counts[i] -= 1
-                for rest in go(counts, remaining - 1):
-                    yield (m.base.elements[i],) + rest
-                counts[i] += 1
-
-    yield from go(list(m.counts), m.size)
+        k = len(word) - 1
+        while word[k] <= word[j]:
+            k -= 1
+        word[j], word[k] = word[k], word[j]
+        word[j + 1 :] = reversed(word[j + 1 :])
 
 
 @cache
@@ -152,7 +161,7 @@ def arr_kernel(X: FinSet, K: int) -> Kernel:
     rows = []
     for m in M:
         w = Fraction(math.prod(math.factorial(c) for c in m.counts), math.factorial(K))
-        rows.append(Dist(P, tuple((untuple(K, t), w) for t in _arrangements(m))))
+        rows.append(Dist(P, ((untuple(K, t), w) for t in _arrangements(m))))
     return Kernel(M, P, tuple(rows))
 
 
@@ -178,13 +187,8 @@ def epsilon_kernel(X: FinSet, K: int) -> Kernel:
         raise ValueError("coordinate sampling needs K >= 1")
     P = power_finset(X, K)
     w = Fraction(1, K)
-    rows = []
-    for t in P:
-        out: dict[Label, Fraction] = {}
-        for c in tuple_of(K, t):
-            out[c] = out.get(c, ZERO) + w
-        rows.append(Dist(X, tuple(out.items())))
-    return Kernel(P, X, tuple(rows))
+    rows = tuple(Dist(X, ((c, w) for c in tuple_of(K, t))) for t in P)
+    return Kernel(P, X, rows)
 
 
 @cache
@@ -193,7 +197,7 @@ def flrn_kernel(X: FinSet, K: int) -> Kernel:
     if K < 1:
         raise ValueError("frequency normalisation needs K >= 1")
     M = multiset_space(X, K)
-    rows = tuple(Dist(X, tuple((x, Fraction(c, K)) for x, c in m.items())) for m in M)
+    rows = tuple(Dist(X, ((x, Fraction(c, K)) for x, c in m.items())) for m in M)
     return Kernel(M, X, rows)
 
 
@@ -218,11 +222,7 @@ def del_kernel(X: FinSet, K: int) -> Kernel:
     rows = []
     for t in Pin:
         coords = tuple_of(K + 1, t)
-        out: dict[Label, Fraction] = {}
-        for i in range(K + 1):
-            y = untuple(K, coords[:i] + coords[i + 1 :])
-            out[y] = out.get(y, ZERO) + w
-        rows.append(Dist(Pout, tuple(out.items())))
+        rows.append(Dist(Pout, ((untuple(K, coords[:i] + coords[i + 1 :]), w) for i in range(K + 1))))
     return Kernel(Pin, Pout, tuple(rows))
 
 
@@ -231,11 +231,8 @@ def dd_kernel(X: FinSet, K: int) -> Kernel:
     """Draw-and-delete: remove one uniformly drawn element from a size-K+1 urn."""
     Min = multiset_space(X, K + 1)
     Mout = multiset_space(X, K)
-    rows = []
-    for m in Min:
-        items = tuple((m.minus(x), Fraction(c, K + 1)) for x, c in m.items())
-        rows.append(Dist(Mout, items))
-    return Kernel(Min, Mout, tuple(rows))
+    rows = tuple(Dist(Mout, ((m.minus(x), Fraction(c, K + 1)) for x, c in m.items())) for m in Min)
+    return Kernel(Min, Mout, rows)
 
 
 @cache

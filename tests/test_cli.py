@@ -129,6 +129,21 @@ class TestUrnCommands:
         assert code == 2
 
 
+class TestLargeUrns:
+    """Urns far past the interpreter's recursion depth, in balls or in colours."""
+
+    def test_arr_of_2000_balls(self, capsys):
+        code, out, _ = run_cli(capsys, "arr", "--urn", "a:2000")
+        assert code == 0
+        assert out.splitlines() == ["(" + ",".join(["a"] * 2000) + "): 1"]
+
+    def test_flrn_over_1200_colours(self, capsys):
+        urn = ",".join(f"c{i}:0" for i in range(1199)) + ",z:1"
+        code, out, _ = run_cli(capsys, "flrn", "--urn", urn)
+        assert code == 0
+        assert out.splitlines() == ["z: 1"]
+
+
 MALFORMED_URNS = [
     '{"colors": ["a", "b"], "counts": [1.5, 1]}',
     '{"colors": ["a", "b"], "counts": [2.0, 1]}',

@@ -3,7 +3,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from finstoch import (
@@ -37,7 +37,7 @@ from finstoch import (
     uniform_state,
     unit_finset,
 )
-from finstoch.core import Kernel
+from finstoch.core import Dist, Kernel
 
 AB = make_finset(["a", "b"])
 ABC = make_finset(["a", "b", "c"])
@@ -99,6 +99,26 @@ class TestDist:
         d = make_dist(AB, {"a": F(1), "b": F(0)})
         assert d.support == ("a",)
         assert d == dirac(AB, "a")
+
+    def test_repeated_labels_add(self):
+        bag = (("a", F(1, 4)), ("a", F(1, 4)), ("b", F(1, 2)))
+        assert Dist(AB, bag) == fair_ab()
+        assert Dist(AB, iter(bag)).items == (("a", F(1, 2)), ("b", F(1, 2)))
+
+    def test_label_summing_to_zero_leaves_support(self):
+        d = Dist(AB, (("b", F(1, 3)), ("a", 1), ("b", F(-1, 3))))
+        assert d.support == ("a",)
+        assert d == dirac(AB, "a")
+
+    @given(st.lists(st.tuples(st.sampled_from("abc"), st.integers(0, 5)), min_size=1, max_size=12))
+    def test_bag_equals_its_summed_mapping(self, pairs):
+        total = sum(n for _, n in pairs)
+        assume(total > 0)
+        summed = {}
+        for x, n in pairs:
+            summed[x] = summed.get(x, 0) + n
+        bag = [(x, F(n, total)) for x, n in pairs]
+        assert Dist(ABC, bag) == make_dist(ABC, {x: F(n, total) for x, n in summed.items()})
 
     def test_uniform_state(self):
         assert uniform_state(2).weights == (F(1, 2), F(1, 2))
@@ -309,14 +329,20 @@ class TestDeterminism:
     def test_fair_coin_not_deterministic(self):
         assert not is_deterministic(state_kernel(fair_ab()))
 
-    def test_matches_point_mass_characterisation(self):
-        for k in (
-            identity_kernel(ABC),
-            constant_kernel(AB, biased_ab()),
-            state_kernel(fair_ab()),
-            copy_kernel(ABC, 2),
-        ):
-            assert is_deterministic(k) == k.is_point_masses()
+    @given(st.data())
+    def test_matches_point_mass_characterisation(self, data):
+        dom = make_finset(["p", "q", "r"][: data.draw(st.integers(1, 3))])
+        cod = make_finset(["a", "b", "c"][: data.draw(st.integers(1, 3))])
+        rows = []
+        for _ in dom:
+            if data.draw(st.booleans()):
+                rows.append(dirac(cod, data.draw(st.sampled_from(cod.elements))))
+            else:
+                nums = data.draw(st.lists(st.integers(0, 4), min_size=len(cod), max_size=len(cod)))
+                assume(sum(nums) > 0)
+                rows.append(make_dist(cod, {y: F(n, sum(nums)) for y, n in zip(cod, nums)}))
+        k = Kernel(dom, cod, tuple(rows))
+        assert is_deterministic(k) == k.is_point_masses()
 
 
 class TestKernelEqual:

@@ -35,6 +35,7 @@ from finstoch import (
     reindex_kernel,
     section_kernel,
 )
+from finstoch.core import tuple_of
 
 AB = make_finset(["a", "b"])
 ABC = make_finset(["a", "b", "c"])
@@ -64,6 +65,13 @@ class TestSpaces:
     def test_no_duplicates(self):
         ms = list(multiset_space(ABC, 3))
         assert len(set(ms)) == len(ms) == 10
+
+    def test_count_vectors_in_descending_lexicographic_order(self):
+        for n in range(5):
+            X = make_finset([f"x{i}" for i in range(n)])
+            for K in range(6):
+                vectors = [v for v in itertools.product(range(K + 1), repeat=n) if sum(v) == K]
+                assert [m.counts for m in multiset_space(X, K)] == sorted(vectors, reverse=True)
 
     def test_counts_validation(self):
         with pytest.raises(ValueError):
@@ -150,6 +158,15 @@ class TestArr:
         row = arr_kernel(AB, 5).row(m)
         assert len(row.support) == 10
         assert set(row.as_dict.values()) == {F(1, 10)}
+
+    def test_support_is_every_distinct_ordering(self):
+        for n in range(1, 4):
+            X = make_finset([f"x{i}" for i in range(n)])
+            for K in range(6):
+                for m in multiset_space(X, K):
+                    orderings = set(itertools.permutations(m.word()))
+                    support = {tuple_of(K, t) for t in arr_kernel(X, K).row(m).support}
+                    assert support == orderings
 
     def test_single_arrangement_point_mass(self):
         row = arr_kernel(AB, 3).row(Multiset(AB, (3, 0)))
