@@ -340,13 +340,59 @@ def all_permutations(k: int) -> tuple[Permutation, ...]:
     return tuple(Permutation(p) for p in itertools.permutations(range(k)))
 
 
+class LazyRows(Sequence[Dist]):
+    """Kernel rows built on first use, each at most once.
+
+    ``build(i)`` makes row i on the kernel's codomain.  Rows are built
+    under the weight-validation setting in force when the sequence was
+    made, whenever they are first read.  Indexing, iteration, ``==`` and
+    ``hash`` behave as for the tuple of all rows, which they force.
+    Threads that first read a row at once may each build it; the rows
+    they build are equal, and one is kept.
+    """
+
+    __slots__ = ("_build", "_rows", "_validate")
+
+    def __init__(self, n: int, build: Callable[[int], Dist]) -> None:
+        self._build = build
+        self._rows: list[Dist | None] = [None] * n
+        self._validate = _VALIDATE_WEIGHTS.get()
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(*i.indices(len(self._rows))))
+        row = self._rows[i]
+        if row is None:
+            token = _VALIDATE_WEIGHTS.set(self._validate)
+            try:
+                row = self._rows[i] = self._build(i % len(self._rows))
+            finally:
+                _VALIDATE_WEIGHTS.reset(token)
+        return row
+
+    def __iter__(self) -> Iterator[Dist]:
+        # not the Sequence default, which would end quietly on an IndexError from a build
+        return map(self.__getitem__, range(len(self._rows)))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (tuple, LazyRows)):
+            return NotImplemented
+        return tuple(self) == tuple(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+
 @dataclass(frozen=True)
 class Kernel:
     """A stochastic map: one distribution over the codomain per domain element."""
 
     domain: FinSet
     codomain: FinSet
-    rows: tuple[Dist, ...]
+    rows: tuple[Dist, ...] | LazyRows
 
     def __post_init__(self) -> None:
         # size check runs here (not only in FinSet) so that reusing
@@ -355,6 +401,8 @@ class Kernel:
         _guard_size(len(self.codomain))
         if len(self.rows) != len(self.domain):
             raise ValueError("need exactly one row per domain element")
+        if isinstance(self.rows, LazyRows):
+            return  # built on the codomain by construction
         for row in self.rows:
             if row.carrier != self.codomain:
                 raise ValueError("row carrier differs from codomain")
@@ -401,8 +449,12 @@ def kernel_compose(g: Kernel, f: Kernel) -> Kernel:
 
 
 def kernel_compose_all(*ks: Kernel) -> Kernel:
-    """Compose right to left: kernel_compose_all(h, g, f) is h after g after f."""
-    return reduce(kernel_compose, ks)
+    """Compose right to left: kernel_compose_all(h, g, f) is h after (g after f).
+
+    Folding from the right lets a deterministic map on the right pick the
+    rows of the kernels to its left before anything composes over them all.
+    """
+    return reduce(lambda f, g: kernel_compose(g, f), reversed(ks))
 
 
 def kernel_tensor(f: Kernel, g: Kernel) -> Kernel:
@@ -417,21 +469,22 @@ def kernel_tensor(f: Kernel, g: Kernel) -> Kernel:
 
 
 def kernel_power(f: Kernel, K: int) -> Kernel:
-    """K independent copies of f, on power carriers."""
+    """K independent copies of f, on power carriers; rows are built on first use."""
     if K < 0:
         raise ValueError("power exponent must be nonnegative")
     if K == 1:
         return f
     dom = power_finset(f.domain, K)
     cod = power_finset(f.codomain, K)
-    rows = []
-    for x in dom:
+
+    def row(i: int) -> Dist:
         bag = (
             (untuple(K, tuple(y for y, _ in combo)), math.prod((w for _, w in combo), start=ONE))
-            for combo in itertools.product(*(f.row(c).items for c in tuple_of(K, x)))
+            for combo in itertools.product(*(f.row(c).items for c in tuple_of(K, dom.elements[i])))
         )
-        rows.append(Dist(cod, bag))
-    return Kernel(dom, cod, tuple(rows))
+        return Dist(cod, bag)
+
+    return Kernel(dom, cod, LazyRows(len(dom), row))
 
 
 def cotuple(fs: Sequence[Kernel], codomain: FinSet | None = None) -> Kernel:

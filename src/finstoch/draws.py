@@ -17,6 +17,7 @@ from .core import (
     Dist,
     FinSet,
     Kernel,
+    LazyRows,
     copy_kernel,
     identity_kernel,
     kernel_compose,
@@ -53,7 +54,8 @@ def multinomial_pmf_kernel(f: Kernel, K: int) -> Kernel:
 def hypergeometric_kernel(X: FinSet, L: int, K: int) -> Kernel:
     """Draw K from a size-L urn without replacement: M[L](X) -> M[K](X).
 
-    Closed form: P(m | urn) = prod_x C(urn_x, m_x) / C(L, K) for m <= urn.
+    Closed form: P(m | urn) = prod_x C(urn_x, m_x) / C(L, K) for m <= urn,
+    each row built on first use.
     The equivalent repeated draw-and-delete chain is available as
     :func:`hypergeometric_chain_kernel`; the two agree exactly.
     """
@@ -62,15 +64,17 @@ def hypergeometric_kernel(X: FinSet, L: int, K: int) -> Kernel:
     Min = multiset_space(X, L)
     Mout = multiset_space(X, K)
     denom = math.comb(L, K)
-    rows = []
-    for urn in Min:
+
+    def row(i: int) -> Dist:
+        urn = Min.elements[i]
         items = []
         for m in Mout:
             if all(c <= u for c, u in zip(m.counts, urn.counts)):
                 num = math.prod(math.comb(u, c) for u, c in zip(urn.counts, m.counts))
                 items.append((m, Fraction(num, denom)))
-        rows.append(Dist(Mout, items))
-    return Kernel(Min, Mout, tuple(rows))
+        return Dist(Mout, items)
+
+    return Kernel(Min, Mout, LazyRows(len(Min), row))
 
 
 @cache

@@ -1,6 +1,8 @@
 """Carriers, distributions, kernels, and the convex/monoidal structure."""
 
+import math
 from fractions import Fraction as F
+from functools import cache
 
 import pytest
 from hypothesis import assume, given
@@ -21,6 +23,7 @@ from finstoch import (
     identity_kernel,
     is_deterministic,
     kernel_compose,
+    kernel_compose_all,
     kernel_equal,
     kernel_power,
     kernel_tensor,
@@ -37,7 +40,7 @@ from finstoch import (
     uniform_state,
     unit_finset,
 )
-from finstoch.core import Dist, Kernel
+from finstoch.core import Dist, Kernel, tuple_of, unchecked_weights
 
 AB = make_finset(["a", "b"])
 ABC = make_finset(["a", "b", "c"])
@@ -49,6 +52,38 @@ def fair_ab():
 
 def biased_ab():
     return make_dist(AB, {"a": F(1, 3), "b": F(2, 3)})
+
+
+def random_kernel(data, dom_labels="pqr", cod_labels="abc"):
+    """A random kernel between carriers of 1-3 elements with rational rows, some of them point masses."""
+    dom = make_finset(dom_labels[: data.draw(st.integers(1, 3))])
+    cod = make_finset(cod_labels[: data.draw(st.integers(1, 3))])
+    return random_kernel_between(data, dom, cod)
+
+
+def random_kernel_between(data, dom, cod):
+    rows = []
+    for _ in dom:
+        if data.draw(st.booleans()):
+            rows.append(dirac(cod, data.draw(st.sampled_from(cod.elements))))
+        else:
+            nums = data.draw(st.lists(st.integers(0, 4), min_size=len(cod), max_size=len(cod)))
+            assume(sum(nums) > 0)
+            rows.append(make_dist(cod, {y: F(n, sum(nums)) for y, n in zip(cod, nums)}))
+    return Kernel(dom, cod, tuple(rows))
+
+
+def eager_power(f, K):
+    """f^K with every row built up front, weight of (y_1..y_K) at (x_1..x_K) being prod f(x_i)(y_i)."""
+    dom, cod = power_finset(f.domain, K), power_finset(f.codomain, K)
+    rows = tuple(
+        make_dist(cod, {
+            y: math.prod((f.row(a).weight(b) for a, b in zip(tuple_of(K, x), tuple_of(K, y))), start=F(1))
+            for y in cod
+        })
+        for x in dom
+    )
+    return Kernel(dom, cod, rows)
 
 
 class TestFinSet:
@@ -186,6 +221,78 @@ class TestKernel:
         row = sq.rows[0]
         assert row.weight(("a", "a")) == F(1, 9)
         assert row.weight(("b", "b")) == F(4, 9)
+
+
+class TestLazyRows:
+    """kernel_power builds its rows on first use; they read as the tuple of all rows."""
+
+    def square(self):
+        return kernel_power(Kernel(AB, AB, (biased_ab(), fair_ab())), 2)
+
+    @given(st.data(), st.integers(0, 3))
+    def test_power_equals_eager_product_of_rows(self, data, K):
+        f = random_kernel(data)
+        eager = eager_power(f, K)
+        assert kernel_equal(kernel_power(f, K), eager)
+        assert kernel_equal(eager, kernel_power(f, K))
+        assert kernel_power(f, K).rows == eager.rows
+        assert eager.rows == kernel_power(f, K).rows
+        assert hash(kernel_power(f, K)) == hash(eager)
+
+        @cache
+        def first_seen(k):
+            return k
+
+        assert first_seen(eager) is eager
+        assert first_seen(kernel_power(f, K)) is eager
+        assert first_seen.cache_info().hits == 1
+
+    def test_indexing(self):
+        sq = self.square()
+        eager = eager_power(Kernel(AB, AB, (biased_ab(), fair_ab())), 2)
+        assert len(sq.rows) == 4
+        assert sq.rows[-1] == eager.rows[3] == sq.row(("b", "b"))
+        assert sq.rows[-4] == eager.rows[0]
+        assert sq.rows[1:3] == eager.rows[1:3]
+        assert isinstance(sq.rows[1:3], tuple)
+        assert list(sq.rows) == list(eager.rows)
+        with pytest.raises(IndexError):
+            sq.rows[4]
+        with pytest.raises(IndexError):
+            sq.rows[-5]
+
+    def test_row_is_built_once(self, built_dists):
+        sq = self.square()
+        built_dists.clear()
+        first = sq.rows[2]
+        assert sq.rows[2] is first
+        assert sq.rows[-2] is first
+        assert len(built_dists) == 1 and built_dists[0] is first
+
+    def test_validation_setting_captured_when_made(self):
+        with unchecked_weights():
+            f = Kernel(AB, AB, (Dist(AB, (("a", F(2)),)), fair_ab()))  # row a weighs 2
+            made_inside = kernel_power(f, 2)
+            read_inside = tuple(kernel_power(f, 2).rows)
+        made_outside = kernel_power(f, 2)
+        # made inside and read outside: unchecked, as if read inside
+        assert made_inside.rows == read_inside
+        assert made_inside.row(("a", "a")).weight(("a", "a")) == 4
+        # made outside and read inside: checked, as if read outside
+        with unchecked_weights():
+            with pytest.raises(ValueError):
+                made_outside.rows[0]
+
+
+class TestComposeAll:
+    @given(st.data())
+    def test_folds_to_either_bracketing(self, data):
+        f = random_kernel(data)
+        g = random_kernel_between(data, f.codomain, make_finset("stu"[: data.draw(st.integers(1, 3))]))
+        h = random_kernel_between(data, g.codomain, make_finset("xyz"[: data.draw(st.integers(1, 3))]))
+        composite = kernel_compose_all(h, g, f)
+        assert kernel_equal(composite, kernel_compose(h, kernel_compose(g, f)))
+        assert kernel_equal(composite, kernel_compose(kernel_compose(h, g), f))
 
 
 class TestCotuple:
@@ -331,17 +438,7 @@ class TestDeterminism:
 
     @given(st.data())
     def test_matches_point_mass_characterisation(self, data):
-        dom = make_finset(["p", "q", "r"][: data.draw(st.integers(1, 3))])
-        cod = make_finset(["a", "b", "c"][: data.draw(st.integers(1, 3))])
-        rows = []
-        for _ in dom:
-            if data.draw(st.booleans()):
-                rows.append(dirac(cod, data.draw(st.sampled_from(cod.elements))))
-            else:
-                nums = data.draw(st.lists(st.integers(0, 4), min_size=len(cod), max_size=len(cod)))
-                assume(sum(nums) > 0)
-                rows.append(make_dist(cod, {y: F(n, sum(nums)) for y, n in zip(cod, nums)}))
-        k = Kernel(dom, cod, tuple(rows))
+        k = random_kernel(data)
         assert is_deterministic(k) == k.is_point_masses()
 
 

@@ -17,11 +17,14 @@ from finstoch import (
     kernel_equal,
     make_dist,
     make_finset,
+    mset_map,
     multinomial_kernel,
     multinomial_pmf_kernel,
     multiset_space,
+    power_finset,
     state_kernel,
 )
+from finstoch.core import Kernel
 
 HT = make_finset(["h", "t"])
 AB = make_finset(["a", "b"])
@@ -37,6 +40,18 @@ def multinomial_oracle(dist, K):
         for c in t:
             w *= dist.weight(c)
         tally[acc_of_seq(X, t)] += w
+    return {m: w for m, w in tally.items() if w}
+
+
+def mset_map_oracle(f, m):
+    """Brute force: send each ball of m through f independently and accumulate."""
+    word = [x for x, c in m.items() for _ in range(c)]
+    tally = Counter()
+    for ys in itertools.product(f.codomain.elements, repeat=len(word)):
+        w = F(1)
+        for x, y in zip(word, ys):
+            w *= f.row(x).weight(y)
+        tally[acc_of_seq(f.codomain, ys)] += w
     return {m: w for m, w in tally.items() if w}
 
 
@@ -131,3 +146,46 @@ class TestHypergeometric:
         hg = hypergeometric_kernel(make_finset(["a"]), 3, 2)
         row = hg.rows[0]
         assert row == dirac(multiset_space(make_finset(["a"]), 2), Multiset(make_finset(["a"]), (2,)))
+
+
+class TestRowsOnFirstUse:
+    """The composites read only the rows of f^K that copy or the section selects."""
+
+    PQR = make_finset(["p", "q", "r"])
+
+    def kernel(self):
+        rows = [(1, 2, 3), (4, 0, 1), (1, 1, 1)]
+        return Kernel(self.PQR, ABC, tuple(
+            make_dist(ABC, {y: F(n, sum(r)) for y, n in zip(ABC, r)}) for r in rows
+        ))
+
+    def test_multinomial_reads_the_diagonal(self, built_dists):
+        f = self.kernel()
+        multinomial_kernel.cache_clear()
+        built_dists.clear()
+        mn = multinomial_kernel(f, 6)
+        # the row of f^6 . copy at x equals the row of f^6 at (x, ..., x), and
+        # f's rows differ, so each distinct row on ABC^6 is one row of f^6
+        power_rows = {d for d in built_dists if d.carrier == power_finset(ABC, 6)}
+        assert len(power_rows) <= len(self.PQR)
+        assert kernel_equal(mn, multinomial_pmf_kernel(f, 6))
+
+    def test_mset_map_reads_the_representatives(self, built_dists):
+        f = self.kernel()
+        mset_map.cache_clear()
+        built_dists.clear()
+        mm = mset_map(f, 4)
+        # as above, with the section's representative words in place of the diagonal
+        power_rows = {d for d in built_dists if d.carrier == power_finset(ABC, 4)}
+        assert len(power_rows) <= len(multiset_space(self.PQR, 4))
+        for m in multiset_space(self.PQR, 4):
+            assert mm.row(m).as_dict == mset_map_oracle(f, m)
+
+    def test_hypergeometric_row_builds_one_dist(self, built_dists):
+        hypergeometric_kernel.cache_clear()
+        urn = Multiset(ABC, (2, 1, 1))
+        hg = hypergeometric_kernel(ABC, 4, 2)
+        row = hg.row(urn)
+        assert hg.row(urn) is row
+        assert len(built_dists) == 1 and built_dists[0] is row
+        assert row.as_dict == hypergeometric_oracle(urn, 2)
