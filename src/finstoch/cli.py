@@ -1,12 +1,13 @@
 """Command-line front end: urn distributions and the law suite.
 
 Exit codes: 0 on success (and when all laws pass), 1 when a law check
-fails, 2 for usage or parse errors.
+fails, 2 for usage or parse errors and for sizes too large to index.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from typing import Sequence
@@ -109,27 +110,22 @@ def cmd_laws(args) -> int:
     if args.max_set is not None:
         if args.max_set < 1:
             raise UsageError("--max-set must be at least 1")
-        grid = GridSpec(
+        grid = dataclasses.replace(
+            grid,
             x_sizes=tuple(s for s in grid.x_sizes if s <= args.max_set),
             y_sizes=tuple(s for s in grid.y_sizes if s <= args.max_set),
         )
     if args.max_k is not None:
         if args.max_k < 1:
             raise UsageError("--max-k must be at least 1")
-        grid = GridSpec(
-            x_sizes=grid.x_sizes,
-            y_sizes=grid.y_sizes,
-            k_values=tuple(k for k in grid.k_values if k <= args.max_k),
-        )
-    if args.jobs < 1:
-        raise UsageError("--jobs must be at least 1")
+        grid = dataclasses.replace(grid, k_values=tuple(k for k in grid.k_values if k <= args.max_k))
     selection = args.law if args.law else None
     if selection is not None:
         known = {law.id for law in law_registry()}
         for law_id in selection:
             if law_id not in known:
                 raise UsageError(f"unknown law id {law_id!r}")
-    report = run_laws(grid=grid, selection=selection, jobs=args.jobs)
+    report = run_laws(grid=grid, selection=selection)
     if args.json:
         print(json.dumps(report.to_json()))
     else:
@@ -190,7 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-set", type=int, default=None, help="cap carrier sizes")
     p.add_argument("--max-k", type=int, default=None, help="cap multiset sizes")
     p.add_argument("--law", action="append", default=None, help="law id to run (repeatable)")
-    p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
     p.add_argument("--json", action="store_true", help="machine-readable report")
     p.set_defaults(fn=cmd_laws)
 
@@ -206,7 +201,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2 if exc.code not in (0,) else 0
     try:
         return args.fn(args)
-    except (FormatError, UsageError, KeyError, ValueError) as exc:
+    except (FormatError, UsageError, KeyError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cache
@@ -99,18 +98,16 @@ _NUMS = ((1,), (1, 2), (2, 2), (1, 3, 2))
 
 
 def perms_for(k: int) -> tuple[Permutation, ...]:
-    """All permutations up to size 3; transpositions plus one 4-cycle at 4."""
+    """All permutations up to size 3; from size 4, the transpositions and one k-cycle."""
     if k <= 3:
         return all_permutations(k)
-    if k == 4:
-        swaps = []
-        for i in range(4):
-            for j in range(i + 1, 4):
-                images = list(range(4))
-                images[i], images[j] = images[j], images[i]
-                swaps.append(Permutation(tuple(images)))
-        return tuple(swaps) + (Permutation((1, 2, 3, 0)),)
-    raise ValueError("grid permutations are only generated up to size 4")
+    swaps = []
+    for i in range(k):
+        for j in range(i + 1, k):
+            images = list(range(k))
+            images[i], images[j] = images[j], images[i]
+            swaps.append(Permutation(tuple(images)))
+    return tuple(swaps) + (Permutation(tuple(range(1, k)) + (0,)),)
 
 
 def generic_dist(cod: FinSet) -> Dist:
@@ -229,7 +226,7 @@ def _dim_values(name: str, grid: GridSpec, partial: dict) -> Sequence:
     if name == "sigma" or name == "tau":
         return perms_for(partial["K"])
     if name == "rho":
-        return perms_for(partial["n"]) if partial["n"] <= 3 else perms_for(4)
+        return perms_for(partial["n"])
     if name == "r" or name == "s":
         return _SERIES
     raise ValueError(f"unknown grid dimension {name!r}")
@@ -1413,8 +1410,7 @@ class Report:
         return "\n".join(lines)
 
 
-def _run_single(law_id: str, grid: GridSpec) -> LawResult:
-    law = law_by_id(law_id)
+def _run_law(law: Law, grid: GridSpec) -> LawResult:
     started = time.perf_counter()
     instances = passes = skipped = 0
     failures: list[str] = []
@@ -1451,14 +1447,15 @@ def run_laws(
     selection: Sequence[str] | None = None,
     jobs: int = 1,
 ) -> Report:
-    """Evaluate laws over the grid and report exact pass/fail counts.
+    """Evaluate laws over the grid, one after another, and report exact pass/fail counts.
 
-    ``selection`` restricts to the given law ids (unknown ids raise);
-    ``jobs`` > 1 evaluates laws in parallel worker processes, at most
-    one per selected law.  The
-    report content is deterministic for a fixed grid, independent of
-    scheduling (timings aside).
+    ``selection`` restricts to the given law ids (unknown ids raise).
+    The runner is serial; ``jobs`` is kept for existing callers and
+    accepts only 1.  The report content is deterministic for a fixed
+    grid (timings aside).
     """
+    if jobs != 1:
+        raise ValueError(f"the law runner is serial: jobs must be 1, not {jobs!r}")
     grid = grid or GridSpec()
     if selection is None:
         chosen = law_registry()
@@ -1466,10 +1463,5 @@ def run_laws(
         wanted = {law_by_id(law_id) for law_id in selection}
         chosen = tuple(law for law in law_registry() if law in wanted)
     started = time.perf_counter()
-    if jobs > 1 and len(chosen) > 1:
-        # the pool starts all of its workers on the first submit
-        with ProcessPoolExecutor(max_workers=min(jobs, len(chosen))) as pool:
-            results = list(pool.map(_run_single, [law.id for law in chosen], [grid] * len(chosen)))
-    else:
-        results = [_run_single(law.id, grid) for law in chosen]
-    return Report(grid=grid, results=tuple(results), seconds=time.perf_counter() - started)
+    results = tuple(_run_law(law, grid) for law in chosen)
+    return Report(grid=grid, results=results, seconds=time.perf_counter() - started)

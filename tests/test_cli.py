@@ -3,11 +3,13 @@
 import json
 import subprocess
 import sys
+from dataclasses import asdict
 from fractions import Fraction as F
 
 import pytest
 
 from finstoch.cli import main
+from finstoch.laws import GridSpec
 
 
 def run_cli(capsys, *argv):
@@ -172,34 +174,26 @@ def test_malformed_json_urn_exits_2(capsys, command, urn):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("multinomial", "--dist", "a:1", "--k", "99999999999999999999"),
+        ("arr", "--urn", "a:99999999999999999999"),
+    ],
+    ids=["multinomial", "arr"],
+)
+def test_oversized_query_exits_2(capsys, argv):
+    # both fail at once, before anything is allocated
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 def test_query_commands_do_not_import_the_law_runner():
     probe = "import sys, finstoch.cli; print({'finstoch.laws', 'concurrent.futures'} & set(sys.modules))"
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "set()"
-
-
-@pytest.fixture
-def serial_pool(monkeypatch):
-    """Stand in for the law runner's process pool; record each pool's size."""
-    from finstoch import laws
-
-    sizes = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(laws, "ProcessPoolExecutor", SerialPool)
-    return sizes
 
 
 class TestLawsCommand:
@@ -225,21 +219,19 @@ class TestLawsCommand:
     def test_usage_error_exits_2(self, capsys):
         assert main(["multinomial", "--k", "2"]) == 2
 
-    def test_jobs_capped_at_one_worker_per_law(self, capsys, serial_pool):
-        code, out, _ = run_cli(
-            capsys, "laws", "--law", "Eq3.dd_square", "--law", "Lemma5.4.acc_arr", "--jobs", "1000000"
-        )
-        assert code == 0
-        assert serial_pool == [2]
-        assert "Eq3.dd_square" in out and "Lemma5.4.acc_arr" in out
-
-    @pytest.mark.parametrize("jobs", ["0", "-3"])
-    def test_jobs_below_one_exits_2(self, capsys, serial_pool, jobs):
-        code, out, err = run_cli(capsys, "laws", "--law", "Eq3.dd_square", "--jobs", jobs)
+    def test_jobs_option_is_gone(self, capsys):
+        code, out, _ = run_cli(capsys, "laws", "--law", "Eq3.dd_square", "--jobs", "2")
         assert code == 2
         assert out == ""
-        assert len(err.splitlines()) == 1 and err.startswith("error: ")
-        assert serial_pool == []
+
+    def test_grid_flags_build_the_grid(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "laws", "--law", "Eq3.dd_square", "--max-set", "2", "--max-k", "2", "--json"
+        )
+        assert code == 0
+        defaults = json.loads(json.dumps(asdict(GridSpec())))
+        expected = {**defaults, "x_sizes": [1, 2], "y_sizes": [1, 2], "k_values": [0, 1, 2]}
+        assert json.loads(out)["grid"] == expected
 
 
 class TestSumToOneEverywhere:

@@ -3,6 +3,8 @@
 import json
 import pathlib
 import re
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -16,10 +18,19 @@ from finstoch.laws import (
     law_by_id,
     law_registry,
     make_kernel,
+    perms_for,
     run_laws,
 )
 
 SMALL = GridSpec(x_sizes=(1, 2), y_sizes=(1, 2), k_values=(0, 1, 2), number_sizes=(1, 2))
+
+
+def _timeless(payload: dict) -> dict:
+    """A report payload without its timing fields."""
+    payload.pop("seconds")
+    for entry in payload["laws"]:
+        entry.pop("seconds")
+    return payload
 
 
 def perturb(kernel: Kernel, row_index: int, delta: F) -> Kernel:
@@ -117,15 +128,16 @@ class TestRunner:
                 law.pop("seconds")
         assert a == b
 
-    def test_parallel_matches_serial(self):
-        sel = ["Lemma5.1.acc_perm", "Prop6.2.arr_dd", "Thm8.3.flrn"]
-        serial = run_laws(SMALL, selection=sel, jobs=1).to_json()
-        parallel = run_laws(SMALL, selection=sel, jobs=2).to_json()
-        for payload in (serial, parallel):
-            payload.pop("seconds")
-            for law in payload["laws"]:
-                law.pop("seconds")
-        assert serial == parallel
+    def test_jobs_other_than_one_refused(self):
+        with pytest.raises(ValueError):
+            run_laws(SMALL, ["Eq3.dd_square"], jobs=2)
+        explicit = _timeless(run_laws(SMALL, ["Eq3.dd_square"], jobs=1).to_json())
+        assert explicit == _timeless(run_laws(SMALL, ["Eq3.dd_square"]).to_json())
+
+    def test_runner_loads_no_process_pool(self):
+        probe = "import sys, finstoch.laws; print('concurrent.futures' in sys.modules)"
+        result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+        assert result.stdout.strip() == "False"
 
     def test_json_round_trip(self):
         report = run_laws(SMALL, selection=["Eq3.dd_square"])
@@ -145,6 +157,31 @@ class TestRunner:
         assert report.total_skipped > 0
         assert report.total_instances == 0
         assert report.total_failures == 0
+
+
+class TestGridPermutations:
+    def test_size_four_keeps_its_seven(self):
+        images = [p.images for p in perms_for(4)]
+        assert images == [
+            (1, 0, 2, 3), (2, 1, 0, 3), (3, 1, 2, 0), (0, 2, 1, 3),
+            (0, 3, 2, 1), (0, 1, 3, 2), (1, 2, 3, 0),
+        ]
+
+    def test_transpositions_and_one_cycle_past_four(self):
+        perms = perms_for(6)
+        assert len(set(perms)) == len(perms) == 15 + 1
+        assert all(sum(i != v for i, v in enumerate(p.images)) == 2 for p in perms[:-1])
+        assert perms[-1].images == (1, 2, 3, 4, 5, 0)
+
+    def test_rho_past_four(self):
+        report = run_laws(GridSpec(number_sizes=(5,)), selection=["Def4.1.perm_fixed"])
+        assert [(r.instances, r.passes) for r in report.results] == [(11, 11)]
+
+    def test_sigma_and_tau_at_k_five(self):
+        ids = ["Lemma3.2.acc_perm", "Def5.3.eps_invariant", "Lemma5.4.perm_arr", "Chk.zip_perm", "LemmaA.1.perm"]
+        report = run_laws(GridSpec(x_sizes=(1, 2), k_values=(5,)), selection=ids)
+        assert report.total_instances == 154
+        assert report.total_failures == 0 and report.total_skipped == 0
 
 
 class TestMutationSensitivity:
