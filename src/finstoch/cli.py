@@ -1,7 +1,8 @@
 """Command-line front end: urn distributions and the law suite.
 
 Exit codes: 0 on success (and when all laws pass), 1 when a law check
-fails, 2 for usage or parse errors and for sizes too large to index.
+fails, 2 for usage or parse errors, for sizes too large to index and
+for carriers past the ceiling the law grid uses by default.
 """
 
 from __future__ import annotations
@@ -10,17 +11,35 @@ import argparse
 import dataclasses
 import json
 import sys
-from typing import Sequence
+from contextlib import contextmanager
+from typing import Iterator, Sequence
 
 from . import draws, multisets, split
 from .algebra import mzip_kernel
-from .core import Dist, Tagged, coproduct_finset, make_finset, state_kernel
+from .core import (
+    DEFAULT_CARRIER_LIMIT,
+    CarrierTooLarge,
+    Dist,
+    carrier_limit,
+    coproduct_finset,
+    make_finset,
+    state_kernel,
+)
 from .multisets import Multiset
 from .textio import FormatError, dist_to_json, parse_dist, parse_urn, render_dist_lines
 
 
 class UsageError(Exception):
     pass
+
+
+@contextmanager
+def _sized_by(name: str, value: int) -> Iterator[None]:
+    """Name the size behind an OverflowError, in place of Python's wording."""
+    try:
+        yield
+    except OverflowError:
+        raise UsageError(f"{name} {value} is too large to enumerate") from None
 
 
 def _emit_dist(d: Dist, fmt: str) -> None:
@@ -33,7 +52,8 @@ def _emit_dist(d: Dist, fmt: str) -> None:
 
 def cmd_multinomial(args) -> int:
     d = parse_dist(args.dist)
-    mn = draws.multinomial_kernel(state_kernel(d), args.k)
+    with _sized_by("--k", args.k):
+        mn = draws.multinomial_kernel(state_kernel(d), args.k)
     _emit_dist(mn.rows[0], args.format)
     return 0
 
@@ -67,7 +87,8 @@ def cmd_flrn(args) -> int:
 
 def cmd_arr(args) -> int:
     urn = parse_urn(args.urn)
-    arr = multisets.arr_kernel(urn.base, urn.size)
+    with _sized_by("urn size", urn.size):
+        arr = multisets.arr_kernel(urn.base, urn.size)
     _emit_dist(arr.row(urn), args.format)
     return 0
 
@@ -78,7 +99,8 @@ def cmd_mzip(args) -> int:
     if left.size != right.size:
         raise UsageError("mzip needs two urns of the same size")
     K = left.size
-    mz = mzip_kernel(left.base, right.base, K)
+    with _sized_by("urn size", K):
+        mz = mzip_kernel(left.base, right.base, K)
     row = mz.row((left, right))
     _emit_dist(row, args.format)
     return 0
@@ -87,16 +109,14 @@ def cmd_mzip(args) -> int:
 def cmd_msplit(args) -> int:
     urn = parse_urn(args.urn)
     left_labels = [lab.strip() for lab in args.left.split(",") if lab.strip()]
-    base_labels = list(urn.base)
     unknown = [lab for lab in left_labels if lab not in urn.base.index]
     if unknown:
         raise UsageError(f"--left labels not in the urn: {', '.join(unknown)}")
-    X = make_finset([lab for lab in base_labels if lab in set(left_labels)])
-    Y = make_finset([lab for lab in base_labels if lab not in set(left_labels)])
+    left = set(left_labels)
+    X = make_finset([lab for lab in urn.base if lab in left])
+    Y = make_finset([lab for lab in urn.base if lab not in left])
     XY = coproduct_finset((X, Y))
-    tagged_counts = {Tagged(0, x): urn.count(x) for x in X}
-    tagged_counts.update({Tagged(1, y): urn.count(y) for y in Y})
-    tagged_urn = Multiset(XY, tuple(tagged_counts[lab] for lab in XY))
+    tagged_urn = Multiset(XY, tuple(urn.count(lab.value) for lab in XY))
     ms = split.msplit_kernel(X, Y, urn.size)
     _emit_dist(ms.row(tagged_urn), args.format)
     return 0
@@ -200,8 +220,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         # argparse exits 2 on usage errors already; normalise other codes
         return 2 if exc.code not in (0,) else 0
     try:
-        return args.fn(args)
-    except (FormatError, UsageError, KeyError, ValueError, OverflowError) as exc:
+        with carrier_limit(DEFAULT_CARRIER_LIMIT):
+            return args.fn(args)
+    except (FormatError, UsageError, KeyError, ValueError, OverflowError, CarrierTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

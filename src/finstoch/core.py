@@ -35,8 +35,12 @@ Label = Hashable
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
+# The carrier ceiling of the law grid and of every CLI command.
+DEFAULT_CARRIER_LIMIT = 20000
+
 # Optional ceiling on carrier sizes, used by the law runner to skip
-# instances that would blow up; None means unlimited.
+# instances that would blow up and by the CLI to refuse oversized
+# queries; None means unlimited.
 _CARRIER_LIMIT: ContextVar[int | None] = ContextVar("finstoch_carrier_limit", default=None)
 
 # Row-sum validation switch.  Only ever disabled by mutation tests that

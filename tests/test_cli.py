@@ -174,16 +174,42 @@ def test_malformed_json_urn_exits_2(capsys, command, urn):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+HUGE = "99999999999999999999"
+CEILING = "exceeds limit 20000"
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (("multinomial", "--dist", "a:1", "--k", HUGE), f"--k {HUGE} is too large"),
+        (("arr", "--urn", f"a:{HUGE}"), f"urn size {HUGE} is too large"),
+        (("mzip", "--left", f"a:{HUGE}", "--right", f"c:{HUGE}"), f"urn size {HUGE} is too large"),
+        (("multinomial", "--dist", "a:1/2,b:1/2", "--k", HUGE), CEILING),
+        (("hypergeometric", "--urn", f"a:{HUGE},b:1", "--draws", "1"), CEILING),
+        (("dd", "--urn", f"a:{HUGE},b:1"), CEILING),
+        (("flrn", "--urn", f"a:{HUGE},b:1"), CEILING),
+        (("msplit", "--urn", f"a:{HUGE},b:1", "--left", "a"), CEILING),
+        (("mzip", "--left", "a:4,b:4", "--right", "c:4,d:4"), CEILING),
+    ],
+    ids=["multinomial", "arr", "mzip", "multinomial-two-colours", "hypergeometric", "dd", "flrn", "msplit",
+         "mzip-past-ceiling"],
+)
+def test_oversized_query_exits_2(capsys, argv, named):
+    # each fails at once, before anything is allocated: an index-sized
+    # integer overflows, or a carrier past the ceiling is refused by size
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert named in err
+
+
 @pytest.mark.parametrize(
     "argv",
-    [
-        ("multinomial", "--dist", "a:1", "--k", "99999999999999999999"),
-        ("arr", "--urn", "a:99999999999999999999"),
-    ],
-    ids=["multinomial", "arr"],
+    [("laws", "--max-set", "0"), ("laws", "--max-k", "0"), ("flrn", "--urn", "a:0")],
+    ids=["max-set", "max-k", "empty-flrn"],
 )
-def test_oversized_query_exits_2(capsys, argv):
-    # both fail at once, before anything is allocated
+def test_below_one_exits_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""

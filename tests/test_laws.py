@@ -1,5 +1,6 @@
 """The law registry and its grid runner: contracts, determinism, sensitivity."""
 
+import dataclasses
 import json
 import pathlib
 import re
@@ -9,7 +10,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from finstoch import multisets
+from finstoch import laws, multisets
 from finstoch.core import Dist, Kernel, unchecked_weights
 from finstoch.laws import (
     GridSpec,
@@ -159,6 +160,13 @@ class TestRunner:
         assert report.total_failures == 0
 
 
+class TestGridSpec:
+    @pytest.mark.parametrize("name", ["x_sizes", "y_sizes", "number_sizes"])
+    def test_sizes_below_one_refused(self, name):
+        with pytest.raises(ValueError, match=name):
+            GridSpec(**{name: (0, 1)})
+
+
 class TestGridPermutations:
     def test_size_four_keeps_its_seven(self):
         images = [p.images for p in perms_for(4)]
@@ -248,6 +256,22 @@ class TestKernelGenerators:
                 entries = [w for row in k.rows for w in row.weights]
                 if m > 1:
                     assert len(set(entries)) == len(entries)
+
+    def test_failure_descriptions(self, monkeypatch):
+        # every law below fails everywhere; the table names its first point
+        ids = ["Lemma3.2.acc_perm", "Def4.1.perm_fixed", "Lemma4.2.constant"]
+        for law_id in ids:
+            failing = dataclasses.replace(law_by_id(law_id), build=lambda i: (0, 1))
+            monkeypatch.setitem(laws._LAWS, law_id, failing)
+        grid = GridSpec(x_sizes=(2,), y_sizes=(1,), k_values=(2,), number_sizes=(2,))
+        report = run_laws(grid, selection=ids)
+        assert {r.law_id: r.failures[0] for r in report.results} == {
+            "Lemma3.2.acc_perm": "X={a,b} K=2 sigma=(0, 1)",
+            "Def4.1.perm_fixed": "n=2 rho=(0, 1)",
+            "Lemma4.2.constant": "X={a,b} Y={u} fkind=generic r=(1/2,1/2)",
+        }
+        # under the 17-character ids, indented past the id column
+        assert " " * 19 + "FAIL at n=2 rho=(0, 1)" in report.table().splitlines()
 
     def test_instance_description_mentions_dims(self):
         inst = Instance(grid=SMALL, K=2, fkind="generic")
