@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -109,6 +110,13 @@ class FinSet:
     @cached_property
     def index(self) -> dict[Label, int]:
         return {x: i for i, x in enumerate(self.elements)}
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.elements,))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -390,6 +398,36 @@ class LazyRows(Sequence[Dist]):
         return hash(tuple(self))
 
 
+class PointRows(LazyRows):
+    """The rows of a deterministic kernel: row i is the point mass at ``codomain.elements[targets[i]]``.
+
+    A point mass is built when first read, once per distinct target. Two
+    ``PointRows`` compare by codomain and targets without building rows.
+    """
+
+    __slots__ = ("codomain", "targets")
+
+    def __init__(self, codomain: FinSet, targets: tuple[int, ...]) -> None:
+        self.codomain = codomain
+        self.targets = targets
+        points: dict[int, Dist] = {}
+
+        def build(i: int) -> Dist:
+            t = targets[i]
+            if t not in points:
+                points[t] = dirac(codomain, codomain.elements[t])
+            return points[t]
+
+        super().__init__(len(targets), build)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, PointRows):
+            return self.codomain == other.codomain and self.targets == other.targets
+        return super().__eq__(other)
+
+    __hash__ = LazyRows.__hash__
+
+
 @dataclass(frozen=True)
 class Kernel:
     """A stochastic map: one distribution over the codomain per domain element."""
@@ -415,15 +453,19 @@ class Kernel:
         return self.rows[self.domain.index[x]]
 
     def is_point_masses(self) -> bool:
-        return all(row.is_point_mass() for row in self.rows)
+        return isinstance(self.rows, PointRows) or all(row.is_point_mass() for row in self.rows)
 
     def __repr__(self) -> str:
         return f"Kernel({len(self.domain)}->{len(self.codomain)})"
 
 
 def kernel_from_function(domain: FinSet, codomain: FinSet, fn: Callable[[Label], Label]) -> Kernel:
-    """The deterministic kernel x |-> dirac(fn(x))."""
-    return Kernel(domain, codomain, tuple(dirac(codomain, fn(x)) for x in domain))
+    """The deterministic kernel x |-> dirac(fn(x)), held as codomain indices."""
+    ys = [fn(x) for x in domain]
+    targets = tuple(map(codomain.index.get, ys))
+    if None in targets:
+        raise ValueError(f"label {ys[targets.index(None)]!r} not in carrier")
+    return Kernel(domain, codomain, PointRows(codomain, targets))
 
 
 def identity_kernel(X: FinSet) -> Kernel:
@@ -440,15 +482,26 @@ def constant_kernel(domain: FinSet, d: Dist) -> Kernel:
 
 
 def kernel_compose(g: Kernel, f: Kernel) -> Kernel:
-    """The composite g after f (sum over intermediate states)."""
+    """The composite g after f (sum over intermediate states).
+
+    A deterministic f gathers rows of g; a deterministic g relabels the rows of f.
+    """
     if f.codomain != g.domain:
         raise ValueError("composition needs cod(f) == dom(g)")
-    g_rows = g.rows
-    mid_index = f.codomain.index
-    rows = tuple(
-        Dist(g.codomain, ((z, w * v) for y, w in row.items for z, v in g_rows[mid_index[y]].items))
-        for row in f.rows
-    )
+    g_rows, mid_index = g.rows, f.codomain.index
+    if isinstance(f.rows, PointRows):
+        if isinstance(g_rows, PointRows):
+            rows = PointRows(g.codomain, tuple(map(g_rows.targets.__getitem__, f.rows.targets)))
+        else:
+            rows = tuple(map(g_rows.__getitem__, f.rows.targets))
+    elif isinstance(g_rows, PointRows):
+        labels, targets = g.codomain.elements, g_rows.targets
+        rows = tuple(Dist(g.codomain, ((labels[targets[mid_index[y]]], w) for y, w in row.items)) for row in f.rows)
+    else:
+        rows = tuple(
+            Dist(g.codomain, ((z, w * v) for y, w in row.items for z, v in g_rows[mid_index[y]].items))
+            for row in f.rows
+        )
     return Kernel(f.domain, g.codomain, rows)
 
 
@@ -465,6 +518,9 @@ def kernel_tensor(f: Kernel, g: Kernel) -> Kernel:
     """Parallel composition on row-major product carriers."""
     dom = tensor_finset(f.domain, g.domain)
     cod = tensor_finset(f.codomain, g.codomain)
+    if isinstance(f.rows, PointRows) and isinstance(g.rows, PointRows):
+        n = len(g.codomain)
+        return Kernel(dom, cod, PointRows(cod, tuple(a * n + b for a in f.rows.targets for b in g.rows.targets)))
     rows = []
     for rf in f.rows:
         for rg in g.rows:
@@ -503,6 +559,8 @@ def cotuple(fs: Sequence[Kernel], codomain: FinSet | None = None) -> Kernel:
     if any(f.codomain != cod for f in fs):
         raise ValueError("cotuple components must share a codomain")
     dom = coproduct_finset(tuple(f.domain for f in fs))
+    if all(isinstance(f.rows, PointRows) for f in fs):
+        return Kernel(dom, cod, PointRows(cod, tuple(itertools.chain.from_iterable(f.rows.targets for f in fs))))
     rows = []
     for f in fs:
         rows.extend(f.rows)
@@ -542,7 +600,10 @@ def permutation_kernel(X: FinSet, sigma: Permutation) -> Kernel:
 
 def index_map_kernel(X: FinSet, Y: FinSet, fn: Callable[[int], int]) -> Kernel:
     """Deterministic kernel sending the i-th element of X to the fn(i)-th of Y."""
-    return Kernel(X, Y, tuple(dirac(Y, Y.elements[fn(i)]) for i in range(len(X))))
+    targets = tuple(operator.index(fn(i)) for i in range(len(X)))
+    if not all(0 <= t < len(Y) for t in targets):
+        raise ValueError(f"index map targets must lie in range({len(Y)})")
+    return Kernel(X, Y, PointRows(Y, targets))
 
 
 def reindex_kernel(X: FinSet, Y: FinSet) -> Kernel:

@@ -209,6 +209,24 @@ def test_criterion_6_mutation_sensitivity(capsys, monkeypatch):
         verdict(6, "single-weight perturbations of DD, arr, mn all break a law", ok, f"{checks} mutants")
 
 
+def test_redirected_acc_row_is_caught(monkeypatch):
+    # acc . sigma reads the rows of acc that the permutation selects, so a
+    # redirected row of a tuple-row acc must still break the acc laws
+    AB = make_finset(["a", "b"])
+    real = multisets.acc_kernel
+    acc = real(AB, 2)
+    rows = list(acc.rows)
+    rows[1] = Dist(acc.codomain, ((Multiset(AB, (2, 0)), F(1)),))  # (a, b) |-> 2|a|
+    mutant = Kernel(acc.domain, acc.codomain, tuple(rows))
+    assert not kernel_equal(mutant, acc)
+    acc_laws = ["Lemma3.2.acc_perm", "Lemma5.1.acc_perm", "Def5.3.arr_mediates", "Lemma5.4.acc_arr"]
+    monkeypatch.setattr(multisets, "acc_kernel", lambda X, K: mutant if (X, K) == (AB, 2) else real(X, K))
+    with unchecked_weights():
+        report = run_laws(SMALL, selection=acc_laws)
+    failed = {r.law_id for r in report.results if r.failure_count}
+    assert "Lemma3.2.acc_perm" in failed
+
+
 def test_criterion_7_determinism_classification(capsys):
     AB = make_finset(["a", "b"])
     ABC = make_finset(["a", "b", "c"])

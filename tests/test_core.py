@@ -21,10 +21,12 @@ from finstoch import (
     discard_kernel,
     fractional_series,
     identity_kernel,
+    index_map_kernel,
     is_deterministic,
     kernel_compose,
     kernel_compose_all,
     kernel_equal,
+    kernel_from_function,
     kernel_power,
     kernel_tensor,
     make_dist,
@@ -40,7 +42,7 @@ from finstoch import (
     uniform_state,
     unit_finset,
 )
-from finstoch.core import Dist, Kernel, tuple_of, unchecked_weights
+from finstoch.core import Dist, Kernel, PointRows, tuple_of, unchecked_weights
 
 AB = make_finset(["a", "b"])
 ABC = make_finset(["a", "b", "c"])
@@ -282,6 +284,89 @@ class TestLazyRows:
         with unchecked_weights():
             with pytest.raises(ValueError):
                 made_outside.rows[0]
+
+
+def random_point_kernel(data, dom, cod):
+    """A random deterministic kernel dom -> cod, with its twin whose rows are a tuple of diracs."""
+    fn = {x: data.draw(st.sampled_from(cod.elements)) for x in dom}
+    return kernel_from_function(dom, cod, fn.__getitem__), Kernel(dom, cod, tuple(dirac(cod, fn[x]) for x in dom))
+
+
+def assert_twins(k, eager):
+    """k reads as eager in every comparison, and each is the other's cache key."""
+    assert isinstance(eager.rows, tuple)
+    assert k.rows == eager.rows and eager.rows == k.rows
+    assert kernel_equal(k, eager) and kernel_equal(eager, k)
+    assert hash(k) == hash(eager)
+
+    @cache
+    def first_seen(kernel):
+        return kernel
+
+    assert first_seen(eager) is eager
+    assert first_seen(k) is eager
+    assert first_seen.cache_info().hits == 1
+
+
+class TestPointRows:
+    """Deterministic kernels hold codomain indices and build a row only when it is read."""
+
+    @given(st.data())
+    def test_operations_equal_their_eager_twins(self, data):
+        P = make_finset("pqr"[: data.draw(st.integers(1, 3))])
+        A = make_finset("abc"[: data.draw(st.integers(1, 3))])
+        B = make_finset("stu"[: data.draw(st.integers(1, 3))])
+        d, d_eager = random_point_kernel(data, P, A)
+        e, e_eager = random_point_kernel(data, A, B)
+        d2, d2_eager = random_point_kernel(data, B, A)
+        g_out, g_in = random_kernel_between(data, A, B), random_kernel_between(data, P, A)
+        assert_twins(d, d_eager)
+        assert_twins(kernel_compose(g_out, d), kernel_compose(g_out, d_eager))
+        assert_twins(kernel_compose(e, g_in), kernel_compose(e_eager, g_in))
+        point_cases = [
+            (kernel_compose(e, d), kernel_compose(e_eager, d_eager)),
+            (kernel_tensor(d, e), kernel_tensor(d_eager, e_eager)),
+            (cotuple([d, d2]), cotuple([d_eager, d2_eager])),
+        ]
+        for k, eager in point_cases:
+            assert isinstance(k.rows, PointRows) and k.is_point_masses()
+            assert_twins(k, eager)
+
+    def test_compose_gathers_the_rows_of_g(self, built_dists):
+        g = Kernel(AB, ABC, (make_dist(ABC, {"a": F(1, 2), "c": F(1, 2)}), make_dist(ABC, {"b": F(1)})))
+        d = kernel_from_function(ABC, AB, {"a": "b", "b": "a", "c": "b"}.__getitem__)
+        built_dists.clear()
+        k = kernel_compose(g, d)
+        assert [row is g.rows[i] for row, i in zip(k.rows, (1, 0, 1))] == [True, True, True]
+        assert built_dists == []
+
+    def test_one_point_mass_per_target(self, built_dists):
+        d = copy_kernel(ABC, 0)
+        assert isinstance(d.rows, PointRows) and d.is_point_masses()
+        assert built_dists == []
+        assert d.rows[0] is d.rows[1] is d.rows[2] == dirac(unit_finset(), ())
+        assert len(built_dists) == 2  # the shared row and the dirac it is compared with
+
+    def test_compared_without_building(self, built_dists):
+        k = index_map_kernel(AB, ABC, lambda i: i)
+        assert k == index_map_kernel(AB, ABC, lambda i: i)
+        assert k.rows != index_map_kernel(AB, ABC, lambda i: 2 - i).rows
+        assert k.rows != index_map_kernel(AB, AB, lambda i: i).rows
+        assert built_dists == []
+
+    def test_label_outside_codomain(self):
+        with pytest.raises(ValueError, match="not in carrier"):
+            kernel_from_function(AB, AB, lambda x: "c")
+
+    @pytest.mark.parametrize("target", [-1, 3, 4])
+    def test_index_outside_codomain(self, target):
+        with pytest.raises(ValueError):
+            index_map_kernel(AB, ABC, lambda i: target)
+
+    def test_index_map(self):
+        k = index_map_kernel(AB, ABC, lambda i: 2 - i)
+        assert k.rows.targets == (2, 1)
+        assert k.row("a") == dirac(ABC, "c")
 
 
 class TestComposeAll:

@@ -8,7 +8,9 @@ import pytest
 
 from finstoch import (
     Multiset,
+    acc_kernel,
     acc_of_seq,
+    arr_kernel,
     constant_kernel,
     dirac,
     hypergeometric_chain_kernel,
@@ -21,6 +23,7 @@ from finstoch import (
     multinomial_kernel,
     multinomial_pmf_kernel,
     multiset_space,
+    mzip_kernel,
     power_finset,
     state_kernel,
 )
@@ -180,6 +183,21 @@ class TestRowsOnFirstUse:
         assert len(power_rows) <= len(multiset_space(self.PQR, 4))
         for m in multiset_space(self.PQR, 4):
             assert mm.row(m).as_dict == mset_map_oracle(f, m)
+
+    def test_acc_builds_no_dist(self, built_dists):
+        acc_kernel.cache_clear()
+        acc = acc_kernel(ABC, 4)
+        assert len(acc.rows) == 81 and acc.is_point_masses()
+        assert built_dists == []
+
+    def test_mzip_builds_few_point_masses(self, built_dists):
+        for builder in (mzip_kernel, acc_kernel, arr_kernel):
+            builder.cache_clear()
+        mzip_kernel(ABC, AB, 5)
+        # zip and acc on (ABC x AB)^5 have 7,776 rows each; held as indices they
+        # build none, and the point masses left are rows of arr and of the composites
+        assert len(built_dists) == 405
+        assert sum(d.is_point_mass() for d in built_dists) == 71
 
     def test_hypergeometric_row_builds_one_dist(self, built_dists):
         hypergeometric_kernel.cache_clear()
