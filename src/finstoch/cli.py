@@ -35,11 +35,13 @@ class UsageError(Exception):
 
 @contextmanager
 def _sized_by(name: str, value: int) -> Iterator[None]:
-    """Name the size behind an OverflowError, in place of Python's wording."""
+    """Name the size behind an OverflowError or a carrier past the ceiling."""
     try:
         yield
     except OverflowError:
         raise UsageError(f"{name} {value} is too large to enumerate") from None
+    except CarrierTooLarge as exc:
+        raise UsageError(f"{name} {value} is too large: {exc}") from None
 
 
 def _emit_dist(d: Dist, fmt: str) -> None:
@@ -62,7 +64,8 @@ def cmd_hypergeometric(args) -> int:
     urn = parse_urn(args.urn)
     if args.draws > urn.size:
         raise UsageError(f"cannot draw {args.draws} from an urn of size {urn.size}")
-    hg = draws.hypergeometric_kernel(urn.base, urn.size, args.draws)
+    with _sized_by("urn size", urn.size):
+        hg = draws.hypergeometric_kernel(urn.base, urn.size, args.draws)
     _emit_dist(hg.row(urn), args.format)
     return 0
 
@@ -71,7 +74,8 @@ def cmd_dd(args) -> int:
     urn = parse_urn(args.urn)
     if urn.size < 1:
         raise UsageError("draw-and-delete needs a nonempty urn")
-    dd = multisets.dd_kernel(urn.base, urn.size - 1)
+    with _sized_by("urn size", urn.size):
+        dd = multisets.dd_kernel(urn.base, urn.size - 1)
     _emit_dist(dd.row(urn), args.format)
     return 0
 
@@ -80,7 +84,8 @@ def cmd_flrn(args) -> int:
     urn = parse_urn(args.urn)
     if urn.size < 1:
         raise UsageError("frequentist learning needs a nonempty urn")
-    flrn = multisets.flrn_kernel(urn.base, urn.size)
+    with _sized_by("urn size", urn.size):
+        flrn = multisets.flrn_kernel(urn.base, urn.size)
     _emit_dist(flrn.row(urn), args.format)
     return 0
 
@@ -117,7 +122,8 @@ def cmd_msplit(args) -> int:
     Y = make_finset([lab for lab in urn.base if lab not in left])
     XY = coproduct_finset((X, Y))
     tagged_urn = Multiset(XY, tuple(urn.count(lab.value) for lab in XY))
-    ms = split.msplit_kernel(X, Y, urn.size)
+    with _sized_by("urn size", urn.size):
+        ms = split.msplit_kernel(X, Y, urn.size)
     _emit_dist(ms.row(tagged_urn), args.format)
     return 0
 

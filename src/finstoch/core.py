@@ -4,8 +4,11 @@ This is the ambient category everything else lives in: objects are
 :class:`FinSet` values (finite, totally ordered carriers), morphisms are
 :class:`Kernel` values (one exact probability distribution per input
 element), and composition is the usual sum-over-intermediate-states
-matrix product, carried out in :class:`fractions.Fraction` arithmetic so
-that every equality test in the suite is exact.
+matrix product.  A row is held as carrier indices with ``int``
+numerators over one ``int`` denominator, so composition, tensor, power
+and convex sums run on integers keyed by index and every equality test
+in the suite is exact; labels and :class:`fractions.Fraction` weights
+appear only where rows are built from or read as (label, weight) pairs.
 
 Canonical orders are fixed once and for all:
 
@@ -34,7 +37,6 @@ from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 Label = Hashable
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 # The carrier ceiling of the law grid and of every CLI command.
 DEFAULT_CARRIER_LIMIT = 20000
@@ -77,6 +79,13 @@ def _guard_size(n: int) -> None:
     limit = _CARRIER_LIMIT.get()
     if limit is not None and n > limit:
         raise CarrierTooLarge(f"carrier with {n} elements exceeds limit {limit}")
+
+
+def _guard_length(K: int) -> None:
+    # over one colour, K-tuples and size-K multisets have a one-element carrier
+    limit = _CARRIER_LIMIT.get()
+    if limit is not None and K > limit:
+        raise CarrierTooLarge(f"length {K} exceeds limit {limit}")
 
 
 @dataclass(frozen=True)
@@ -174,6 +183,7 @@ def power_finset(X: FinSet, K: int) -> FinSet:
         return unit_finset()
     if K == 1:
         return X
+    _guard_length(K)
     _guard_size(len(X) ** K)
     return _power_finset_cached(X, K)
 
@@ -210,43 +220,61 @@ def untuple(K: int, coords: Sequence[Label]) -> Label:
     return tuple(coords)
 
 
-def _as_fraction(v) -> Fraction:
-    if isinstance(v, Fraction):
-        return v
-    if isinstance(v, int):
-        return Fraction(v)
-    raise TypeError(f"weights must be exact rationals, got {type(v).__name__}")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Dist:
     """A finitely-supported probability distribution with exact weights.
 
     Built from any iterable of (label, weight) pairs: the weights of a
     repeated label add up, and labels whose total is zero are dropped.
-    ``items`` holds the nonzero totals sorted by carrier position, so
-    equality and hashing are canonical.  Weights are nonnegative
-    Fractions summing to exactly 1.
+    Held as the ascending carrier ``indices`` of the support, ``int``
+    numerators ``nums`` and one positive ``den`` sharing no factor with
+    all of them, so equality and hashing are canonical; ``items`` gives
+    (label, Fraction) pairs in carrier order.  Weights are nonnegative
+    and sum to exactly 1.
     """
 
     carrier: FinSet
-    items: tuple[tuple[Label, Fraction], ...]
+    indices: tuple[int, ...]
+    nums: tuple[int, ...]
+    den: int
+
+    def __init__(self, carrier: FinSet, items: Iterable[tuple[Label, Fraction | int]]) -> None:
+        index = carrier.index
+        pairs = []
+        for x, w in items:
+            i = index.get(x)
+            if i is None:
+                raise ValueError(f"label {x!r} not in carrier")
+            if not isinstance(w, (int, Fraction)):
+                raise TypeError(f"weights must be exact rationals, got {type(w).__name__}")
+            pairs.append((i, w))
+        den = math.lcm(*(w.denominator for _, w in pairs))
+        indices, nums = _tally((i, w.numerator * (den // w.denominator)) for i, w in pairs)
+        vars(self).update(carrier=carrier, indices=indices, nums=nums, den=den)  # frozen: set in one step
+        self.__post_init__()
 
     def __post_init__(self) -> None:
-        index = self.carrier.index
-        summed: dict[Label, Fraction] = {}
-        for x, w in self.items:
-            if x not in index:
-                raise ValueError(f"label {x!r} not in carrier")
-            w = _as_fraction(w)
-            summed[x] = summed[x] + w if x in summed else w
-        cleaned = sorted(((x, w) for x, w in summed.items() if w != 0), key=lambda xw: index[xw[0]])
+        # Every row passes through here once: drop zeros, reduce, check.
+        indices, nums, den = self.indices, self.nums, self.den
+        if 0 in nums:
+            indices = tuple(i for i, n in zip(indices, nums) if n)
+            nums = tuple(n for n in nums if n)
+        g = math.gcd(den, *nums)
+        if g != 1:
+            den //= g
+            nums = tuple(n // g for n in nums)
         if _VALIDATE_WEIGHTS.get():
-            if any(w < 0 for _, w in cleaned):
+            if nums and min(nums) < 0:
                 raise ValueError("negative weight in distribution")
-            if sum((w for _, w in cleaned), ZERO) != ONE:
+            if sum(nums) != den:
                 raise ValueError("weights must sum to exactly 1")
-        object.__setattr__(self, "items", tuple(cleaned))
+        if den != self.den or len(nums) != len(self.nums):
+            vars(self).update(indices=indices, nums=nums, den=den)
+
+    @cached_property
+    def items(self) -> tuple[tuple[Label, Fraction], ...]:
+        labels, den = self.carrier.elements, self.den
+        return tuple((labels[i], Fraction(n, den)) for i, n in zip(self.indices, self.nums))
 
     @cached_property
     def as_dict(self) -> dict[Label, Fraction]:
@@ -265,14 +293,57 @@ class Dist:
 
     @property
     def support(self) -> tuple[Label, ...]:
-        return tuple(x for x, _ in self.items)
+        labels = self.carrier.elements
+        return tuple(labels[i] for i in self.indices)
 
     def is_point_mass(self) -> bool:
-        return len(self.items) == 1 and self.items[0][1] == ONE
+        return len(self.nums) == 1 and self.nums[0] == self.den
 
     def __repr__(self) -> str:
         body = ", ".join(f"{x!r}: {w}" for x, w in self.items)
         return f"Dist({body})"
+
+
+def _tally(pairs: Iterable[tuple[int, int]]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The (index, numerator) pairs summed per index: the indices in ascending order, and their totals."""
+    sums: dict[int, int] = {}
+    get = sums.get
+    for z, v in pairs:
+        sums[z] = get(z, 0) + v
+    keys = sorted(sums)
+    return tuple(keys), tuple(map(sums.__getitem__, keys))
+
+
+def _row(carrier: FinSet, indices: tuple[int, ...], nums: tuple[int, ...], den: int) -> Dist:
+    """The Dist with weights nums / den at ascending, distinct carrier positions."""
+    d = object.__new__(Dist)
+    vars(d).update(carrier=carrier, indices=indices, nums=nums, den=den)
+    d.__post_init__()
+    return d
+
+
+def _mix(carrier: FinSet, weights: Dist, rows: Sequence[Dist]) -> Dist:
+    """The row sum_j w_j * rows[j], for w the weights of ``weights``, over the rows' common denominator."""
+    common = math.lcm(*(r.den for r in rows))
+    scales = [w * (common // r.den) for w, r in zip(weights.nums, rows)]
+    pairs = itertools.chain.from_iterable(zip(r.indices, [s * v for v in r.nums]) for s, r in zip(scales, rows))
+    return _row(carrier, *_tally(pairs), weights.den * common)
+
+
+def _radix(parts: Iterable[Sequence[int]], radix: int) -> list[int]:
+    """Mixed-radix positions of every choice of one entry per part, leftmost part most significant."""
+    out = [0]
+    for part in parts:
+        out = [a * radix + b for a in out for b in part]
+    return out
+
+
+def _product(carrier: FinSet, rows: Sequence[Dist], radix: int) -> Dist:
+    """The independent product of rows on a mixed-radix carrier, leftmost row most significant."""
+    nums = [1]
+    for r in rows:
+        nums = [m * n for m in nums for n in r.nums]
+    return _row(carrier, tuple(_radix([r.indices for r in rows], radix)), tuple(nums), math.prod(r.den for r in rows))
 
 
 def make_dist(carrier: FinSet, weights: Mapping[Label, Fraction | int]) -> Dist:
@@ -281,19 +352,14 @@ def make_dist(carrier: FinSet, weights: Mapping[Label, Fraction | int]) -> Dist:
 
 def dirac(X: FinSet, x: Label) -> Dist:
     """The point mass at x."""
-    return Dist(X, ((x, ONE),))
-
-
-def _number_state(weights: Sequence[Fraction]) -> Dist:
-    # A state on the interpreted number len(weights): a convex series.
-    return Dist(number_finset(len(weights)), ((str(i), w) for i, w in enumerate(weights)))
+    return Dist(X, ((x, 1),))
 
 
 def uniform_state(n: int) -> Dist:
     """The uniform distribution over the interpreted number n; requires n >= 1."""
     if n < 1:
         raise ValueError("uniform states need at least one outcome")
-    return _number_state((Fraction(1, n),) * n)
+    return _row(number_finset(n), tuple(range(n)), (1,) * n, n)
 
 
 def fractional_series(nums: Sequence[int]) -> Dist:
@@ -303,12 +369,13 @@ def fractional_series(nums: Sequence[int]) -> Dist:
     total = sum(nums)
     if total < 1:
         raise ValueError("fractional series needs a positive total")
-    return _number_state(tuple(Fraction(v, total) for v in nums))
+    return _row(number_finset(len(nums)), tuple(range(len(nums))), tuple(nums), total)
 
 
 def series_bullet(r: Dist, s: Dist) -> Dist:
     """Row-major product of two states on numbers: weight (i, j) is r_i * s_j."""
-    return _number_state(tuple(ri * sj for ri in r.weights for sj in s.weights))
+    m = len(s.carrier)
+    return _product(number_finset(len(r.carrier) * m), (r, s), m)
 
 
 @dataclass(frozen=True)
@@ -415,7 +482,7 @@ class PointRows(LazyRows):
         def build(i: int) -> Dist:
             t = targets[i]
             if t not in points:
-                points[t] = dirac(codomain, codomain.elements[t])
+                points[t] = _row(codomain, (t,), (1,), 1)
             return points[t]
 
         super().__init__(len(targets), build)
@@ -488,21 +555,18 @@ def kernel_compose(g: Kernel, f: Kernel) -> Kernel:
     """
     if f.codomain != g.domain:
         raise ValueError("composition needs cod(f) == dom(g)")
-    g_rows, mid_index = g.rows, f.codomain.index
+    g_rows, cod = g.rows, g.codomain
     if isinstance(f.rows, PointRows):
         if isinstance(g_rows, PointRows):
-            rows = PointRows(g.codomain, tuple(map(g_rows.targets.__getitem__, f.rows.targets)))
+            rows = PointRows(cod, tuple(map(g_rows.targets.__getitem__, f.rows.targets)))
         else:
             rows = tuple(map(g_rows.__getitem__, f.rows.targets))
     elif isinstance(g_rows, PointRows):
-        labels, targets = g.codomain.elements, g_rows.targets
-        rows = tuple(Dist(g.codomain, ((labels[targets[mid_index[y]]], w) for y, w in row.items)) for row in f.rows)
+        relabel = g_rows.targets.__getitem__
+        rows = tuple(_row(cod, *_tally(zip(map(relabel, row.indices), row.nums)), row.den) for row in f.rows)
     else:
-        rows = tuple(
-            Dist(g.codomain, ((z, w * v) for y, w in row.items for z, v in g_rows[mid_index[y]].items))
-            for row in f.rows
-        )
-    return Kernel(f.domain, g.codomain, rows)
+        rows = tuple(_mix(cod, row, [g_rows[y] for y in row.indices]) for row in f.rows)
+    return Kernel(f.domain, cod, rows)
 
 
 def kernel_compose_all(*ks: Kernel) -> Kernel:
@@ -518,31 +582,30 @@ def kernel_tensor(f: Kernel, g: Kernel) -> Kernel:
     """Parallel composition on row-major product carriers."""
     dom = tensor_finset(f.domain, g.domain)
     cod = tensor_finset(f.codomain, g.codomain)
+    n = len(g.codomain)
     if isinstance(f.rows, PointRows) and isinstance(g.rows, PointRows):
-        n = len(g.codomain)
-        return Kernel(dom, cod, PointRows(cod, tuple(a * n + b for a in f.rows.targets for b in g.rows.targets)))
-    rows = []
-    for rf in f.rows:
-        for rg in g.rows:
-            rows.append(Dist(cod, (((y, b), wf * wg) for y, wf in rf.items for b, wg in rg.items)))
-    return Kernel(dom, cod, tuple(rows))
+        return Kernel(dom, cod, PointRows(cod, tuple(_radix((f.rows.targets, g.rows.targets), n))))
+    return Kernel(dom, cod, tuple(_product(cod, (rf, rg), n) for rf in f.rows for rg in g.rows))
 
 
 def kernel_power(f: Kernel, K: int) -> Kernel:
-    """K independent copies of f, on power carriers; rows are built on first use."""
+    """K independent copies of f on power carriers: rows built on first use, or index targets if f is deterministic."""
     if K < 0:
         raise ValueError("power exponent must be nonnegative")
     if K == 1:
         return f
     dom = power_finset(f.domain, K)
     cod = power_finset(f.codomain, K)
+    m, n = len(f.domain), len(f.codomain)
+    if isinstance(f.rows, PointRows):
+        return Kernel(dom, cod, PointRows(cod, tuple(_radix((f.rows.targets,) * K, n))))
 
     def row(i: int) -> Dist:
-        bag = (
-            (untuple(K, tuple(y for y, _ in combo)), math.prod((w for _, w in combo), start=ONE))
-            for combo in itertools.product(*(f.row(c).items for c in tuple_of(K, dom.elements[i])))
-        )
-        return Dist(cod, bag)
+        picked = []
+        for _ in range(K):
+            i, x = divmod(i, m)
+            picked.append(f.rows[x])
+        return _product(cod, picked[::-1], n)
 
     return Kernel(dom, cod, LazyRows(len(dom), row))
 
@@ -625,10 +688,7 @@ def convex_sum(r: Dist, fs: Sequence[Kernel]) -> Kernel:
     dom, cod = fs[0].domain, fs[0].codomain
     if any(f.domain != dom or f.codomain != cod for f in fs):
         raise ValueError("convex sum components must share domain and codomain")
-    rows = tuple(
-        Dist(cod, ((y, w * v) for w, f in zip(r.weights, fs) if w for y, v in f.rows[ix].items))
-        for ix in range(len(dom))
-    )
+    rows = tuple(_mix(cod, r, [fs[i].rows[ix] for i in r.indices]) for ix in range(len(dom)))
     return Kernel(dom, cod, rows)
 
 

@@ -24,6 +24,7 @@ from .core import (
     FinSet,
     Kernel,
     Label,
+    _guard_length,
     _guard_size,
     kernel_compose_all,
     kernel_from_function,
@@ -116,6 +117,7 @@ def multiset_space(X: FinSet, K: int) -> FinSet:
     """The carrier M[K](X): all size-K multisets over X; M[0](X) is a singleton, M[K](0) empty for K > 0."""
     if K < 0:
         raise ValueError("multiset size must be nonnegative")
+    _guard_length(K)
     if len(X) > 0:
         _guard_size(math.comb(len(X) + K - 1, K))
     return _multiset_space_cached(X, K)

@@ -190,13 +190,21 @@ CEILING = "exceeds limit 20000"
         (("flrn", "--urn", f"a:{HUGE},b:1"), CEILING),
         (("msplit", "--urn", f"a:{HUGE},b:1", "--left", "a"), CEILING),
         (("mzip", "--left", "a:4,b:4", "--right", "c:4,d:4"), CEILING),
+        # one colour: every carrier has one element, but the tuple length or
+        # multiset size passes the ceiling
+        (("hypergeometric", "--urn", f"a:{HUGE}", "--draws", "999999999999999999"), f"urn size {HUGE} is too large"),
+        (("msplit", "--urn", f"a:{HUGE}", "--left", "a"), f"urn size {HUGE} is too large"),
+        (("multinomial", "--dist", "a:1", "--k", "1099511627776"), "--k 1099511627776 is too large"),
+        (("arr", "--urn", "a:1099511627776"), "urn size 1099511627776 is too large"),
     ],
     ids=["multinomial", "arr", "mzip", "multinomial-two-colours", "hypergeometric", "dd", "flrn", "msplit",
-         "mzip-past-ceiling"],
+         "mzip-past-ceiling", "hypergeometric-one-colour", "msplit-one-colour", "multinomial-one-colour-2^40",
+         "arr-one-colour-2^40"],
 )
 def test_oversized_query_exits_2(capsys, argv, named):
     # each fails at once, before anything is allocated: an index-sized
-    # integer overflows, or a carrier past the ceiling is refused by size
+    # integer overflows, or a carrier, tuple length or multiset size past
+    # the ceiling is refused by size
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""

@@ -1,6 +1,8 @@
 """Carriers, distributions, kernels, and the convex/monoidal structure."""
 
+import itertools
 import math
+from contextlib import nullcontext
 from fractions import Fraction as F
 from functools import cache
 
@@ -42,7 +44,7 @@ from finstoch import (
     uniform_state,
     unit_finset,
 )
-from finstoch.core import Dist, Kernel, PointRows, tuple_of, unchecked_weights
+from finstoch.core import Dist, Kernel, PointRows, tuple_of, unchecked_weights, untuple
 
 AB = make_finset(["a", "b"])
 ABC = make_finset(["a", "b", "c"])
@@ -168,6 +170,91 @@ class TestDist:
         relabel = reindex_kernel(pair.codomain, number_finset(36))
         lifted = kernel_compose(relabel, pair)
         assert lifted.rows[0] == uniform_state(36)
+
+
+WEIGHTS = st.fractions(min_value=-2, max_value=2, max_denominator=6)
+
+
+def bags(carrier):
+    """(label, weight) lists over the carrier, with repeated labels, zeros and any signs or totals."""
+    return st.lists(st.tuples(st.sampled_from(carrier.elements), WEIGHTS), max_size=8)
+
+
+def summed(carrier, bag):
+    """The canonical items of a bag in Fraction arithmetic: totals per label, zeros dropped, carrier order."""
+    totals = {}
+    for x, w in bag:
+        totals[x] = totals.get(x, F(0)) + w
+    return tuple((x, totals[x]) for x in carrier if totals.get(x, 0) != 0)
+
+
+def assert_canonical(d, items):
+    """d reads as items, held on ascending positions over a denominator sharing no factor with every numerator."""
+    assert d.items == items
+    assert list(d.indices) == [d.carrier.index[x] for x, _ in items] == sorted(set(d.indices))
+    assert d.den > 0 and math.gcd(d.den, *d.nums) == 1
+
+
+class TestCanonicalRow:
+    """A row is carrier indices with int numerators over one denominator; checked against Fraction references."""
+
+    @given(st.data())
+    def test_bags_are_canonical(self, data):
+        bag, other = data.draw(bags(ABC)), data.draw(bags(ABC))
+        with unchecked_weights():
+            d = Dist(ABC, bag)
+            same = Dist(ABC, bag[::-1] + [(x, w - w) for x, w in other])
+            d_other = Dist(ABC, other)
+        assert_canonical(d, summed(ABC, bag))
+        assert_canonical(d_other, summed(ABC, other))
+        assert same == d and hash(same) == hash(d)
+        assert (d == d_other) == (d.items == d_other.items)
+        if d == d_other:
+            assert hash(d) == hash(d_other)
+
+    def test_unchecked_rows_keep_their_items(self):
+        two = (("a", F(3, 2)), ("b", F(1, 2)))
+        negative = (("a", F(3, 2)), ("b", F(-1, 2)))
+        with unchecked_weights():
+            assert Dist(AB, two).items == two
+            assert Dist(AB, negative).items == negative
+            assert Dist(AB, ()).items == ()
+        with pytest.raises(ValueError, match="sum to exactly 1"):
+            Dist(AB, two)
+        with pytest.raises(ValueError, match="negative weight"):
+            Dist(AB, negative)
+
+    @given(st.data(), st.booleans())
+    def test_operations_match_fraction_references(self, data, checked):
+        # checked: stochastic rows; unchecked: rows of any sign and total
+        def kernel(dom, cod):
+            if checked:
+                return random_kernel_between(data, dom, cod)
+            with unchecked_weights():
+                return Kernel(dom, cod, tuple(Dist(cod, data.draw(bags(cod))) for _ in dom))
+
+        P = make_finset("pqr"[: data.draw(st.integers(1, 3))])
+        A = make_finset("abc"[: data.draw(st.integers(1, 3))])
+        B = make_finset("stu"[: data.draw(st.integers(1, 3))])
+        f, g = kernel(P, A), kernel(A, B)
+        fs = [kernel(P, A) for _ in range(data.draw(st.integers(1, 3)))]
+        r = fractional_series(data.draw(st.lists(st.integers(1, 4), min_size=len(fs), max_size=len(fs))))
+        K = data.draw(st.integers(0, 3))
+        with nullcontext() if checked else unchecked_weights():
+            composite, tensor = kernel_compose(g, f), kernel_tensor(f, g)
+            power, mixture = kernel_power(f, K), convex_sum(r, fs)
+            for x in P:
+                bag = [(z, w * v) for y, w in f.row(x).items for z, v in g.row(y).items]
+                assert_canonical(composite.row(x), summed(B, bag))
+                bag = [(y, w * v) for w, h in zip(r.weights, fs) for y, v in h.row(x).items]
+                assert_canonical(mixture.row(x), summed(A, bag))
+            for x, y in tensor.domain:
+                bag = [((a, b), w * v) for a, w in f.row(x).items for b, v in g.row(y).items]
+                assert_canonical(tensor.row((x, y)), summed(tensor.codomain, bag))
+            for xs in power.domain:
+                combos = itertools.product(*(f.row(c).items for c in tuple_of(K, xs)))
+                bag = [(untuple(K, [y for y, _ in c]), math.prod((w for _, w in c), start=F(1))) for c in combos]
+                assert_canonical(power.row(xs), summed(power.codomain, bag))
 
 
 class TestKernel:
@@ -323,10 +410,12 @@ class TestPointRows:
         assert_twins(d, d_eager)
         assert_twins(kernel_compose(g_out, d), kernel_compose(g_out, d_eager))
         assert_twins(kernel_compose(e, g_in), kernel_compose(e_eager, g_in))
+        K = data.draw(st.integers(0, 3))
         point_cases = [
             (kernel_compose(e, d), kernel_compose(e_eager, d_eager)),
             (kernel_tensor(d, e), kernel_tensor(d_eager, e_eager)),
             (cotuple([d, d2]), cotuple([d_eager, d2_eager])),
+            (kernel_power(d, K), eager_power(d_eager, K)),
         ]
         for k, eager in point_cases:
             assert isinstance(k.rows, PointRows) and k.is_point_masses()

@@ -112,6 +112,14 @@ class TestRunner:
         assert report.total_instances == 2353
         assert report.total_skipped == 0
 
+    def test_full_grid_report_is_unchanged(self):
+        # the per-law counts of the default grid, timings aside, as committed
+        # in full_grid_report.json; a change to the core must leave them alone
+        golden = json.loads(pathlib.Path(__file__).with_name("full_grid_report.json").read_text())
+        fields = ("law_id", "instances", "passes", "failure_count", "skipped")
+        report = run_laws()
+        assert [{k: r.to_json()[k] for k in fields} for r in report.results] == golden
+
     def test_untypeable_generators_are_not_instances(self):
         # acc_natural spans 2*2*3*4 = 48 points; at the 6 where fkind is
         # iso and |X| != |Y| the generator has no type and is not counted
