@@ -19,6 +19,7 @@ from .core import (
     kernel_from_function,
     kernel_tensor,
     power_finset,
+    reindex_kernel,
     tensor_finset,
     tuple_of,
     untuple,
@@ -28,29 +29,14 @@ from .multisets import Multiset, acc_kernel, arr_kernel, multiset_space
 
 @cache
 def concat_iso(X: FinSet, K: int, L: int) -> Kernel:
-    """The concatenation bijection X^K (x) X^L -> X^{K+L}."""
-    dom = tensor_finset(power_finset(X, K), power_finset(X, L))
-
-    def cat(p: Label) -> Label:
-        a, b = p
-        return untuple(K + L, tuple_of(K, a) + tuple_of(L, b))
-
-    return kernel_from_function(dom, power_finset(X, K + L), cat)
+    """The concatenation bijection X^K (x) X^L -> X^{K+L}: a re-indexing under the canonical orders."""
+    return reindex_kernel(tensor_finset(power_finset(X, K), power_finset(X, L)), power_finset(X, K + L))
 
 
 @cache
 def stack_iso(X: FinSet, K: int, L: int) -> Kernel:
-    """The K-fold concatenation bijection (X^L)^K -> X^{K*L}."""
-    dom = power_finset(power_finset(X, L), K)
-
-    def flatten(t: Label) -> Label:
-        coords = tuple_of(K, t)
-        flat: tuple[Label, ...] = ()
-        for c in coords:
-            flat += tuple_of(L, c)
-        return untuple(K * L, flat)
-
-    return kernel_from_function(dom, power_finset(X, K * L), flatten)
+    """The K-fold concatenation bijection (X^L)^K -> X^{K*L}: a re-indexing under the canonical orders."""
+    return reindex_kernel(power_finset(power_finset(X, L), K), power_finset(X, K * L))
 
 
 @cache

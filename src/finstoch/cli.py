@@ -1,8 +1,9 @@
 """Command-line front end: urn distributions and the law suite.
 
 Exit codes: 0 on success (and when all laws pass), 1 when a law check
-fails, 2 for usage or parse errors, for sizes too large to index and
-for carriers past the ceiling the law grid uses by default.
+fails, 2 for usage or parse errors, for sizes too large to index, for
+carriers past the ceiling the law grid uses by default and when the
+reader closes stdout early.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from contextlib import contextmanager
 from typing import Iterator, Sequence
@@ -227,7 +229,15 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2 if exc.code not in (0,) else 0
     try:
         with carrier_limit(DEFAULT_CARRIER_LIMIT):
-            return args.fn(args)
+            code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early; send what is still buffered to
+        # devnull, so that the flush at interpreter exit cannot raise again
+        with open(os.devnull, "w") as null:
+            os.dup2(null.fileno(), sys.stdout.fileno())
+        return 2
     except (FormatError, UsageError, KeyError, ValueError, OverflowError, CarrierTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

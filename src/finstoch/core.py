@@ -536,7 +536,7 @@ def kernel_from_function(domain: FinSet, codomain: FinSet, fn: Callable[[Label],
 
 
 def identity_kernel(X: FinSet) -> Kernel:
-    return kernel_from_function(X, X, lambda x: x)
+    return reindex_kernel(X, X)
 
 
 def state_kernel(d: Dist) -> Kernel:
@@ -644,7 +644,7 @@ def copy_kernel(X: FinSet, K: int) -> Kernel:
 
 def discard_kernel(X: FinSet) -> Kernel:
     """The unique map to the unit object."""
-    return kernel_from_function(X, unit_finset(), lambda x: ())
+    return copy_kernel(X, 0)
 
 
 def projection_kernel(X: FinSet, K: int, i: int) -> Kernel:

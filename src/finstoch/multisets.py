@@ -108,6 +108,15 @@ def _count_vectors(n: int, K: int) -> Iterator[tuple[int, ...]]:
         v[i], v[-1], v[i + 1] = v[i] - 1, 0, v[-1] + 1
 
 
+def multichoose(n: int, K: int) -> int:
+    """The number of size-K multisets over an n-element set: C(n+K-1, K)."""
+    if n < 0 or K < 0:
+        raise ValueError("multichoose takes naturals")
+    if n == 0:
+        return 1 if K == 0 else 0
+    return math.comb(n + K - 1, K)
+
+
 @cache
 def _multiset_space_cached(X: FinSet, K: int) -> FinSet:
     return FinSet(tuple(Multiset(X, v) for v in _count_vectors(len(X), K)))
@@ -118,8 +127,7 @@ def multiset_space(X: FinSet, K: int) -> FinSet:
     if K < 0:
         raise ValueError("multiset size must be nonnegative")
     _guard_length(K)
-    if len(X) > 0:
-        _guard_size(math.comb(len(X) + K - 1, K))
+    _guard_size(multichoose(len(X), K))
     return _multiset_space_cached(X, K)
 
 

@@ -14,7 +14,6 @@ two halves and yields the multiset split isomorphism
 from __future__ import annotations
 
 import itertools
-import math
 from functools import cache
 
 from .core import (
@@ -29,16 +28,7 @@ from .core import (
     tuple_of,
     untuple,
 )
-from .multisets import Multiset, acc_of_seq, multiset_space
-
-
-def multichoose(n: int, K: int) -> int:
-    """The number of size-K multisets over an n-element set: C(n+K-1, K)."""
-    if n < 0 or K < 0:
-        raise ValueError("multichoose takes naturals")
-    if n == 0:
-        return 1 if K == 0 else 0
-    return math.comb(n + K - 1, K)
+from .multisets import Multiset, acc_of_seq, multichoose, multiset_space
 
 
 @cache
@@ -120,20 +110,14 @@ def accs_kernel(X: FinSet, Y: FinSet, K: int) -> Kernel:
 
 @cache
 def msplit_kernel(X: FinSet, Y: FinSet, K: int) -> Kernel:
-    """Split a multiset over X + Y into its X part and Y part."""
+    """Split a multiset over X + Y into its X part and Y part: the coproduct lists the X block first."""
     dom = multiset_space(coproduct_finset((X, Y)), K)
     cod = msplit_space(X, Y, K)
+    n = len(X)
 
     def split(m: Label) -> Label:
-        xcounts = [0] * len(X)
-        ycounts = [0] * len(Y)
-        for lab, c in m.items():
-            if lab.tag == 0:
-                xcounts[X.index[lab.value]] += c
-            else:
-                ycounts[Y.index[lab.value]] += c
-        i = sum(xcounts)
-        return Tagged(i, (Multiset(X, tuple(xcounts)), Multiset(Y, tuple(ycounts))))
+        xs = m.counts[:n]
+        return Tagged(sum(xs), (Multiset(X, xs), Multiset(Y, m.counts[n:])))
 
     return kernel_from_function(dom, cod, split)
 
@@ -142,13 +126,9 @@ def msplit_kernel(X: FinSet, Y: FinSet, K: int) -> Kernel:
 def msplit_inv_kernel(X: FinSet, Y: FinSet, K: int) -> Kernel:
     """Merge an (X part, Y part) pair back into one multiset over X + Y."""
     XY = coproduct_finset((X, Y))
-    dom = msplit_space(X, Y, K)
-    cod = multiset_space(XY, K)
 
     def merge(z: Label) -> Label:
         mx, my = z.value
-        counts = {Tagged(0, x): c for x, c in zip(X, mx.counts)}
-        counts.update({Tagged(1, y): c for y, c in zip(Y, my.counts)})
-        return Multiset(XY, tuple(counts[lab] for lab in XY))
+        return Multiset(XY, mx.counts + my.counts)
 
-    return kernel_from_function(dom, cod, merge)
+    return kernel_from_function(msplit_space(X, Y, K), multiset_space(XY, K), merge)

@@ -32,10 +32,11 @@ from finstoch import (
     tensor_finset,
     zip_iso,
 )
-from finstoch.core import Permutation
+from finstoch.core import Permutation, tuple_of, untuple
 
 AB = make_finset(["a", "b"])
 CD = make_finset(["c", "d"])
+ABC = make_finset(["a", "b", "c"])
 
 
 class TestConcat:
@@ -61,6 +62,26 @@ class TestConcat:
         k = concat_iso(AB, 2, 1)
         assert is_deterministic(k)
         assert len({row.support[0] for row in k.rows}) == len(k.domain)
+
+
+class TestReindexings:
+    # concat and stack are re-indexings under the canonical orders; read
+    # label by label, each row is the point mass at the joined tuple
+    def test_concat_rows_are_concatenations(self):
+        for K in range(7):
+            for L in range(7 - K):
+                k = concat_iso(ABC, K, L)
+                for (a, b), row in zip(k.domain, k.rows):
+                    assert row.items == ((untuple(K + L, tuple_of(K, a) + tuple_of(L, b)), 1),)
+
+    def test_stack_rows_are_flattenings(self):
+        for K, L in itertools.product(range(7), repeat=2):
+            if K * L > 6:
+                continue
+            k = stack_iso(ABC, K, L)
+            for t, row in zip(k.domain, k.rows):
+                flat = tuple(c for block in tuple_of(K, t) for c in tuple_of(L, block))
+                assert row.items == ((untuple(K * L, flat), 1),)
 
 
 class TestMsum:

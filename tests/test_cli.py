@@ -230,6 +230,18 @@ def test_query_commands_do_not_import_the_law_runner():
     assert result.stdout.strip() == "set()"
 
 
+def test_closed_pipe_exits_2_without_traceback():
+    # 88,900 bytes of output: more than a pipe holds, so the write fails once the reader is gone
+    argv = [sys.executable, "-m", "finstoch.cli", "hypergeometric", "--urn", "a:300,b:300", "--draws", "300"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 2
+    assert "Traceback" not in err and "Exception ignored" not in err
+
+
 class TestLawsCommand:
     def test_single_law_passes(self, capsys):
         code, out, _ = run_cli(capsys, "laws", "--law", "Thm8.3.flrn", "--max-set", "2", "--max-k", "2")

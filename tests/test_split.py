@@ -2,6 +2,9 @@
 
 import math
 
+from hypothesis import given
+from hypothesis import strategies as st
+
 from finstoch import (
     Multiset,
     Tagged,
@@ -157,3 +160,32 @@ class TestMsplit:
                 multichoose(len(X2), i) * multichoose(len(Y2), K - i) for i in range(K + 1)
             )
         assert is_deterministic(msplit_kernel(X2, Y2, 2))
+
+
+def _split_by_walking(X, Y, m):
+    # the split read label by label off the coproduct tags
+    xcounts = [0] * len(X)
+    ycounts = [0] * len(Y)
+    for lab, c in m.items():
+        if lab.tag == 0:
+            xcounts[X.index[lab.value]] += c
+        else:
+            ycounts[Y.index[lab.value]] += c
+    return Tagged(sum(xcounts), (Multiset(X, tuple(xcounts)), Multiset(Y, tuple(ycounts))))
+
+
+def _merge_by_walking(X, Y, z):
+    XY = coproduct_finset((X, Y))
+    mx, my = z.value
+    counts = {Tagged(0, x): c for x, c in zip(X, mx.counts)}
+    counts.update({Tagged(1, y): c for y, c in zip(Y, my.counts)})
+    return Multiset(XY, tuple(counts[lab] for lab in XY))
+
+
+@given(st.integers(0, 3), st.integers(0, 3), st.integers(0, 6))
+def test_msplit_agrees_with_label_walk(nx, ny, K):
+    X = make_finset([f"x{i}" for i in range(nx)])
+    Y = make_finset([f"y{i}" for i in range(ny)])
+    fwd, back = msplit_kernel(X, Y, K), msplit_inv_kernel(X, Y, K)
+    assert [row.support for row in fwd.rows] == [(_split_by_walking(X, Y, m),) for m in fwd.domain]
+    assert [row.support for row in back.rows] == [(_merge_by_walking(X, Y, z),) for z in back.domain]
