@@ -9,12 +9,12 @@ part of the law suite.
 
 from __future__ import annotations
 
-from functools import cache
 
 from .core import (
     FinSet,
     Kernel,
     Label,
+    cache,
     kernel_compose_all,
     kernel_from_function,
     kernel_tensor,

@@ -24,6 +24,7 @@ with an explicit re-indexing kernel (:func:`reindex_kernel`).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -31,7 +32,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property, reduce
+from functools import cached_property, reduce
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 Label = Hashable
@@ -57,7 +58,10 @@ class CarrierTooLarge(Exception):
 
 @contextmanager
 def carrier_limit(max_elements: int | None) -> Iterator[None]:
-    """Bound the size of carriers constructed inside the block."""
+    """Bound the size of carriers constructed inside the block.
+
+    Builder caches are keyed by the ceiling, so a carrier is checked once, when it is built.
+    """
     token = _CARRIER_LIMIT.set(max_elements)
     try:
         yield
@@ -67,12 +71,27 @@ def carrier_limit(max_elements: int | None) -> Iterator[None]:
 
 @contextmanager
 def unchecked_weights() -> Iterator[None]:
-    """Suspend row-sum validation inside the block (testing seam)."""
+    """Suspend row-sum validation inside the block (testing seam).
+
+    Builder caches are keyed by this setting: a kernel built inside is never returned outside.
+    """
     token = _VALIDATE_WEIGHTS.set(False)
     try:
         yield
     finally:
         _VALIDATE_WEIGHTS.reset(token)
+
+
+def cache(fn: Callable) -> Callable:
+    """``functools.cache``, keyed also by the carrier ceiling and the weight check in force."""
+    keyed = functools.cache(lambda limit, validate, *args, **kwargs: fn(*args, **kwargs))
+
+    @functools.wraps(fn)
+    def cached(*args, **kwargs):
+        return keyed(_CARRIER_LIMIT.get(), _VALIDATE_WEIGHTS.get(), *args, **kwargs)
+
+    cached.cache_info, cached.cache_clear = keyed.cache_info, keyed.cache_clear
+    return cached
 
 
 def _guard_size(n: int) -> None:
@@ -160,21 +179,13 @@ def number_finset(n: int) -> FinSet:
 
 
 @cache
-def _tensor_finset_cached(X: FinSet, Y: FinSet) -> FinSet:
-    return FinSet(tuple(itertools.product(X.elements, Y.elements)))
-
-
 def tensor_finset(X: FinSet, Y: FinSet) -> FinSet:
     """Product carrier, row-major: (x, y) pairs with x major."""
     _guard_size(len(X) * len(Y))
-    return _tensor_finset_cached(X, Y)
+    return FinSet(tuple(itertools.product(X.elements, Y.elements)))
 
 
 @cache
-def _power_finset_cached(X: FinSet, K: int) -> FinSet:
-    return FinSet(tuple(itertools.product(X.elements, repeat=K)))
-
-
 def power_finset(X: FinSet, K: int) -> FinSet:
     """K-fold power; X^0 is the unit, X^1 is X itself, X^K is K-tuples."""
     if K < 0:
@@ -185,21 +196,14 @@ def power_finset(X: FinSet, K: int) -> FinSet:
         return X
     _guard_length(K)
     _guard_size(len(X) ** K)
-    return _power_finset_cached(X, K)
+    return FinSet(tuple(itertools.product(X.elements, repeat=K)))
 
 
 @cache
-def _coproduct_finset_cached(parts: tuple[FinSet, ...]) -> FinSet:
-    elems: list[Label] = []
-    for i, part in enumerate(parts):
-        elems.extend(Tagged(i, x) for x in part)
-    return FinSet(tuple(elems))
-
-
 def coproduct_finset(parts: tuple[FinSet, ...]) -> FinSet:
     """Coproduct carrier: tagged elements, block i listed before block i+1."""
     _guard_size(sum(len(p) for p in parts))
-    return _coproduct_finset_cached(parts)
+    return FinSet(tuple(Tagged(i, x) for i, part in enumerate(parts) for x in part))
 
 
 def tuple_of(K: int, x: Label) -> tuple[Label, ...]:
@@ -504,10 +508,6 @@ class Kernel:
     rows: tuple[Dist, ...] | LazyRows
 
     def __post_init__(self) -> None:
-        # size check runs here (not only in FinSet) so that reusing
-        # cached carriers still respects an active carrier limit
-        _guard_size(len(self.domain))
-        _guard_size(len(self.codomain))
         if len(self.rows) != len(self.domain):
             raise ValueError("need exactly one row per domain element")
         if isinstance(self.rows, LazyRows):

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cache
 
 from .core import (
     Dist,
     FinSet,
     Kernel,
     LazyRows,
+    cache,
     copy_kernel,
     identity_kernel,
     kernel_compose,

@@ -19,7 +19,6 @@ import math
 import time
 from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
-from functools import cache
 from typing import Callable, Iterator, Sequence
 
 from . import algebra, draws, multisets, split
@@ -32,6 +31,7 @@ from .core import (
     Permutation,
     Tagged,
     all_permutations,
+    cache,
     carrier_limit,
     constant_kernel,
     convex_sum,
@@ -82,10 +82,11 @@ class GridSpec:
     carrier_limit: int = DEFAULT_CARRIER_LIMIT
 
     def __post_init__(self) -> None:
-        for name in ("x_sizes", "y_sizes", "number_sizes"):
+        least = {"x_sizes": 1, "y_sizes": 1, "number_sizes": 1, "k_values": 0, "n_values": 0}
+        for name, low in least.items():
             sizes = getattr(self, name)
-            if any(size < 1 for size in sizes):
-                raise ValueError(f"{name} entries must be at least 1, got {sizes!r}")
+            if any(size < low for size in sizes):
+                raise ValueError(f"{name} entries must be at least {low}, got {sizes!r}")
 
 
 _X_ATOMS = ("a", "b", "c", "d")
@@ -127,10 +128,10 @@ def generic_dist(cod: FinSet) -> Dist:
 
 
 @cache
-def make_kernel(kind: str, dom: FinSet, cod: FinSet) -> Kernel | None:
-    """One of the four grid kernel generators on nonempty carriers, or None for an untypeable iso."""
+def make_kernel(kind: str, dom: FinSet, cod: FinSet) -> Kernel:
+    """One of the four grid kernel generators on nonempty carriers; an iso needs carriers of one size."""
     if kind == "iso":
-        return reindex_kernel(dom, cod) if len(dom) == len(cod) else None
+        return reindex_kernel(dom, cod)
     if kind == "const":
         return constant_kernel(dom, generic_dist(cod))
     if kind == "collapse":
@@ -172,10 +173,10 @@ class Instance:
     r: Dist | None = None
     s: Dist | None = None
 
-    def f(self) -> Kernel | None:
+    def f(self) -> Kernel:
         return make_kernel(self.fkind, self.X, self.Y)
 
-    def g(self) -> Kernel | None:
+    def g(self) -> Kernel:
         """Second kernel generator, typed Y -> X."""
         return make_kernel(self.gkind, self.Y, self.X)
 
@@ -216,7 +217,7 @@ def _dim_values(name: str, grid: GridSpec, partial: dict) -> Sequence:
     if name == "nums":
         return _NUMS
     if name in ("fkind", "gkind"):
-        return KERNEL_KINDS
+        return KERNEL_KINDS if len(partial["X"]) == len(partial["Y"]) else _TOTAL_KINDS
     if name == "sigma" or name == "tau":
         return perms_for(partial["K"])
     if name == "rho":
@@ -238,11 +239,7 @@ def iter_instances(grid: GridSpec, dims: tuple[str, ...]) -> Iterator[Instance]:
             yield from go(remaining[1:], {**partial, name: value})
 
     for assignment in go(dims, {}):
-        inst = Instance(grid=grid, **assignment)
-        # a point whose arrow generator cannot be typed on its carriers
-        # (an iso between sets of different sizes) is not an instance
-        if (inst.fkind is None or inst.f() is not None) and (inst.gkind is None or inst.g() is not None):
-            yield inst
+        yield Instance(grid=grid, **assignment)
 
 
 # ---------------------------------------------------------------------------
@@ -1375,8 +1372,7 @@ def _run_law(law: Law, grid: GridSpec) -> LawResult:
         if law.applies is not None and not law.applies(inst):
             continue
         try:
-            with carrier_limit(grid.carrier_limit):
-                result = law.build(inst)
+            result = law.build(inst)
         except CarrierTooLarge:
             skipped += 1
             continue
@@ -1419,5 +1415,6 @@ def run_laws(
         wanted = {law_by_id(law_id) for law_id in selection}
         chosen = tuple(law for law in law_registry() if law in wanted)
     started = time.perf_counter()
-    results = tuple(_run_law(law, grid) for law in chosen)
+    with carrier_limit(grid.carrier_limit):
+        results = tuple(_run_law(law, grid) for law in chosen)
     return Report(grid=grid, results=results, seconds=time.perf_counter() - started)

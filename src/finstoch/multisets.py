@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from typing import Iterator, Sequence
 
 from .core import (
@@ -26,6 +25,7 @@ from .core import (
     Label,
     _guard_length,
     _guard_size,
+    cache,
     kernel_compose_all,
     kernel_from_function,
     kernel_power,
@@ -118,17 +118,16 @@ def multichoose(n: int, K: int) -> int:
 
 
 @cache
-def _multiset_space_cached(X: FinSet, K: int) -> FinSet:
-    return FinSet(tuple(Multiset(X, v) for v in _count_vectors(len(X), K)))
-
-
 def multiset_space(X: FinSet, K: int) -> FinSet:
     """The carrier M[K](X): all size-K multisets over X; M[0](X) is a singleton, M[K](0) empty for K > 0."""
     if K < 0:
         raise ValueError("multiset size must be nonnegative")
     _guard_length(K)
     _guard_size(multichoose(len(X), K))
-    return _multiset_space_cached(X, K)
+    return FinSet(tuple(Multiset(X, v) for v in _count_vectors(len(X), K)))
+
+
+_multiset_space_cached = multiset_space  # the name perfbench's tracer reads the counters under
 
 
 @cache

@@ -14,13 +14,13 @@ two halves and yields the multiset split isomorphism
 from __future__ import annotations
 
 import itertools
-from functools import cache
 
 from .core import (
     FinSet,
     Kernel,
     Label,
     Tagged,
+    cache,
     coproduct_finset,
     kernel_from_function,
     power_finset,

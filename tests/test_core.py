@@ -11,8 +11,11 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from finstoch import (
+    CarrierTooLarge,
     Permutation,
     Tagged,
+    acc_kernel,
+    carrier_limit,
     constant_kernel,
     convex_sum,
     copy_kernel,
@@ -33,6 +36,7 @@ from finstoch import (
     kernel_tensor,
     make_dist,
     make_finset,
+    multinomial_kernel,
     number_finset,
     permutation_kernel,
     power_finset,
@@ -614,6 +618,23 @@ class TestDeterminism:
     def test_matches_point_mass_characterisation(self, data):
         k = random_kernel(data)
         assert is_deterministic(k) == k.is_point_masses()
+
+
+class TestBuilderCaches:
+    """A cached carrier or kernel is reused only under the ceiling and the weight check it was built under."""
+
+    def test_kernel_built_unbounded_is_refused_under_a_ceiling(self):
+        assert len(acc_kernel(ABC, 5).domain) == 243
+        with carrier_limit(100):
+            with pytest.raises(CarrierTooLarge):
+                acc_kernel(ABC, 5)
+
+    def test_unchecked_kernel_is_not_reused_when_checked(self):
+        with unchecked_weights():
+            heavy = state_kernel(Dist(AB, (("a", F(2)),)))  # row weighs 2
+            assert multinomial_kernel(heavy, 2).rows[0].nums == (4,)
+        with pytest.raises(ValueError):
+            multinomial_kernel(heavy, 2)
 
 
 class TestKernelEqual:

@@ -160,12 +160,21 @@ class TestRunner:
 
     def test_carrier_guard_records_skips(self):
         # power(X, 3) has 8 elements, over the limit of 5, so every
-        # instance is skipped regardless of what is already cached
+        # instance is skipped; as for every law, what is already cached
+        # under another ceiling makes no difference
         tight = GridSpec(x_sizes=(2,), y_sizes=(2,), k_values=(3,), carrier_limit=5)
         report = run_laws(tight, selection=["Lemma5.1.acc_perm"])
         assert report.total_skipped > 0
         assert report.total_instances == 0
         assert report.total_failures == 0
+
+    def test_skips_ignore_a_run_at_another_ceiling(self):
+        # X^3 has 8 elements, over the ceiling of 5: the four K = 3 points
+        # skip, although the run before built their kernels at the default
+        sizes = dict(x_sizes=(2,), y_sizes=(2,), k_values=(1, 2, 3))
+        run_laws(GridSpec(**sizes), selection=["Def8.1.mn_closed"])
+        report = run_laws(GridSpec(**sizes, carrier_limit=5), selection=["Def8.1.mn_closed"])
+        assert (report.total_instances, report.total_skipped) == (8, 4)
 
 
 class TestGridSpec:
@@ -173,6 +182,12 @@ class TestGridSpec:
     def test_sizes_below_one_refused(self, name):
         with pytest.raises(ValueError, match=name):
             GridSpec(**{name: (0, 1)})
+
+    @pytest.mark.parametrize("name", ["k_values", "n_values"])
+    def test_negative_sizes_refused(self, name):
+        with pytest.raises(ValueError, match=name):
+            GridSpec(**{name: (-1, 1)})
+        assert getattr(GridSpec(**{name: (0, 1)}), name) == (0, 1)
 
 
 class TestGridPermutations:
@@ -247,7 +262,8 @@ class TestKernelGenerators:
         X, Y = make_finset(["a", "b"]), make_finset(["u"])
         generic = make_kernel("generic", X, Y)
         assert generic is not None and all(r.weights for r in generic.rows)
-        assert make_kernel("iso", X, Y) is None  # sizes differ
+        with pytest.raises(ValueError):
+            make_kernel("iso", X, Y)  # sizes differ
         collapse = make_kernel("collapse", X, Y)
         assert collapse.is_point_masses()
         const = make_kernel("const", X, X)
