@@ -55,6 +55,7 @@ from .multisets import (
     epsilon_kernel,
     flrn_kernel,
     mset_map,
+    multichoose,
     multiset_space,
     perm_kernel,
     section_kernel,
@@ -73,7 +74,6 @@ from .split import (
     msplit_inv_kernel,
     msplit_kernel,
     msplit_space,
-    multichoose,
 )
 
 __version__ = "0.1.0"

@@ -9,6 +9,8 @@ numerators over one ``int`` denominator, so composition, tensor, power
 and convex sums run on integers keyed by index and every equality test
 in the suite is exact; labels and :class:`fractions.Fraction` weights
 appear only where rows are built from or read as (label, weight) pairs.
+The uniform draws are relative frequencies of bags of outcomes
+(:func:`frequency_kernel`): their builders compute no weights.
 
 Canonical orders are fixed once and for all:
 
@@ -352,6 +354,15 @@ def _product(carrier: FinSet, rows: Sequence[Dist], radix: int) -> Dist:
 
 def make_dist(carrier: FinSet, weights: Mapping[Label, Fraction | int]) -> Dist:
     return Dist(carrier, weights.items())
+
+
+def frequency_kernel(
+    domain: FinSet, codomain: FinSet, counts: Callable[[Label], Iterable[tuple[Label, int]]]
+) -> Kernel:
+    """x |-> the relative frequencies of the nonempty bag ``counts(x)`` of (outcome, count > 0); repeats add up."""
+    index = codomain.index
+    tallies = (_tally((index[y], c) for y, c in counts(x)) for x in domain)
+    return Kernel(domain, codomain, tuple(_row(codomain, indices, nums, sum(nums)) for indices, nums in tallies))
 
 
 def dirac(X: FinSet, x: Label) -> Dist:

@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import asdict, dataclass, fields
-from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
 from . import algebra, draws, multisets, split
@@ -33,7 +32,6 @@ from .core import (
     all_permutations,
     cache,
     carrier_limit,
-    constant_kernel,
     convex_sum,
     copy_kernel,
     coprojection_kernel,
@@ -41,6 +39,7 @@ from .core import (
     cotuple,
     discard_kernel,
     fractional_series,
+    frequency_kernel,
     identity_kernel,
     index_map_kernel,
     is_deterministic,
@@ -83,10 +82,13 @@ class GridSpec:
 
     def __post_init__(self) -> None:
         least = {"x_sizes": 1, "y_sizes": 1, "number_sizes": 1, "k_values": 0, "n_values": 0}
+        most = {"x_sizes": len(_X_ATOMS), "y_sizes": len(_Y_ATOMS)}  # one carrier per size, from the atom pools
         for name, low in least.items():
             sizes = getattr(self, name)
             if any(size < low for size in sizes):
                 raise ValueError(f"{name} entries must be at least {low}, got {sizes!r}")
+            if any(size > most.get(name, size) for size in sizes):
+                raise ValueError(f"{name} entries must be at most {most[name]}, got {sizes!r}")
 
 
 _X_ATOMS = ("a", "b", "c", "d")
@@ -120,20 +122,14 @@ def perms_for(k: int) -> tuple[Permutation, ...]:
     return tuple(swaps) + (Permutation(tuple(range(1, k)) + (0,)),)
 
 
-def generic_dist(cod: FinSet) -> Dist:
-    """A fixed fully-supported state with pairwise distinct weights."""
-    m = len(cod)
-    total = m * (m + 1) // 2
-    return Dist(cod, tuple((y, Fraction(j + 1, total)) for j, y in enumerate(cod)))
-
-
 @cache
 def make_kernel(kind: str, dom: FinSet, cod: FinSet) -> Kernel:
     """One of the four grid kernel generators on nonempty carriers; an iso needs carriers of one size."""
     if kind == "iso":
         return reindex_kernel(dom, cod)
     if kind == "const":
-        return constant_kernel(dom, generic_dist(cod))
+        # one fully supported row with pairwise distinct weights 1 : 2 : ... : |cod|
+        return frequency_kernel(dom, cod, lambda x: zip(cod, range(1, len(cod) + 1)))
     if kind == "collapse":
         return kernel_from_function(dom, cod, lambda x: cod.elements[min(dom.index[x], len(cod) - 1)])
     if kind == "generic":
@@ -143,12 +139,7 @@ def make_kernel(kind: str, dom: FinSet, cod: FinSet) -> Kernel:
         primes = (2, 3, 5, 7, 11, 13)
         if len(dom) > len(primes):
             raise ValueError("generic kernels are only generated for small domains")
-        rows = []
-        for q in primes[: len(dom)]:
-            nums = [q**j for j in range(len(cod))]
-            total = sum(nums)
-            rows.append(Dist(cod, tuple((y, Fraction(v, total)) for y, v in zip(cod, nums))))
-        return Kernel(dom, cod, tuple(rows))
+        return frequency_kernel(dom, cod, lambda x: zip(cod, (primes[dom.index[x]] ** j for j in range(len(cod)))))
     raise ValueError(f"unknown kernel kind {kind!r}")
 
 
@@ -1253,12 +1244,12 @@ def msplit_iso_right(i: Instance):
 
 @law("Prop5.6.count", "|M[K](n)| = multichoose(n, K)", ("n", "K"))
 def multiset_count(i: Instance):
-    return (len(multisets.multiset_space(number_finset(i.n), i.K)), split.multichoose(i.n, i.K))
+    return (len(multisets.multiset_space(number_finset(i.n), i.K)), multisets.multichoose(i.n, i.K))
 
 
 @law("Chk.multichoose_pascal", "multichoose(n+1, K) = sum_i<=K multichoose(n, i)", ("n", "K"))
 def multichoose_pascal(i: Instance):
-    return (split.multichoose(i.n + 1, i.K), sum(split.multichoose(i.n, j) for j in range(i.K + 1)))
+    return (multisets.multichoose(i.n + 1, i.K), sum(multisets.multichoose(i.n, j) for j in range(i.K + 1)))
 
 
 @law("Chk.binomial_blocks", "lsplit block sizes realise the binomial theorem", ("X", "Y", "K"))
@@ -1279,7 +1270,7 @@ def block_sizes(i: Instance):
 def card_shadow(i: Instance):
     return (
         len(multisets.multiset_space(coproduct_finset((i.X, i.Y)), i.K)),
-        sum(split.multichoose(len(i.X), j) * split.multichoose(len(i.Y), i.K - j) for j in range(i.K + 1)),
+        sum(multisets.multichoose(len(i.X), j) * multisets.multichoose(len(i.Y), i.K - j) for j in range(i.K + 1)),
     )
 
 

@@ -9,23 +9,25 @@ The accumulation map ``acc`` sends a tuple to its count vector; every
 map *out of* the quotient is built by sending each multiset through its
 canonical representative tuple, and the fact that this is well defined
 is checked by the law suite rather than assumed.
+
+arr, Flrn, coordinate sampling, uniform deletion and DD are relative
+frequencies of bags (``core.frequency_kernel``): no builder computes weights.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .core import (
-    Dist,
     FinSet,
     Kernel,
     Label,
     _guard_length,
     _guard_size,
     cache,
+    frequency_kernel,
     kernel_compose_all,
     kernel_from_function,
     kernel_power,
@@ -165,22 +167,17 @@ def _arrangements(m: Multiset) -> Iterator[tuple[Label, ...]]:
 @cache
 def arr_kernel(X: FinSet, K: int) -> Kernel:
     """Arrangement: each multiset goes uniformly to its distinct orderings."""
-    P = power_finset(X, K)
-    M = multiset_space(X, K)
-    rows = []
-    for m in M:
-        w = Fraction(math.prod(math.factorial(c) for c in m.counts), math.factorial(K))
-        rows.append(Dist(P, ((untuple(K, t), w) for t in _arrangements(m))))
-    return Kernel(M, P, tuple(rows))
+    P = power_finset(X, K)  # built first, so an oversized query names the power
+    return frequency_kernel(multiset_space(X, K), P, lambda m: ((untuple(K, t), 1) for t in _arrangements(m)))
 
 
 @cache
 def perm_kernel(X: FinSet, K: int) -> Kernel:
     """Uniform rearrangement of a tuple: the mixture of all K! permutation maps.
 
-    Computed by tallying (each tuple goes uniformly to the distinct
-    rearrangements of itself); agreement with the literal convex sum
-    over the symmetric group is one of the registered laws.
+    Each tuple picks the row of :func:`arr_kernel` at its own multiset;
+    agreement with the literal convex sum over the symmetric group is
+    one of the registered laws.
     """
     P = power_finset(X, K)
     arr = arr_kernel(X, K)
@@ -194,10 +191,7 @@ def epsilon_kernel(X: FinSet, K: int) -> Kernel:
     """Pick one coordinate uniformly; defined for K >= 1."""
     if K < 1:
         raise ValueError("coordinate sampling needs K >= 1")
-    P = power_finset(X, K)
-    w = Fraction(1, K)
-    rows = tuple(Dist(X, ((c, w) for c in tuple_of(K, t))) for t in P)
-    return Kernel(P, X, rows)
+    return frequency_kernel(power_finset(X, K), X, lambda t: ((c, 1) for c in tuple_of(K, t)))
 
 
 @cache
@@ -205,9 +199,7 @@ def flrn_kernel(X: FinSet, K: int) -> Kernel:
     """Frequentist learning: normalise a multiset to its relative frequencies."""
     if K < 1:
         raise ValueError("frequency normalisation needs K >= 1")
-    M = multiset_space(X, K)
-    rows = tuple(Dist(X, ((x, Fraction(c, K)) for x, c in m.items())) for m in M)
-    return Kernel(M, X, rows)
+    return frequency_kernel(multiset_space(X, K), X, Multiset.items)
 
 
 def drop_kernel(X: FinSet, K: int, i: int) -> Kernel:
@@ -225,23 +217,19 @@ def drop_kernel(X: FinSet, K: int, i: int) -> Kernel:
 @cache
 def del_kernel(X: FinSet, K: int) -> Kernel:
     """Delete one uniformly chosen coordinate: X^{K+1} -> X^K."""
-    Pin = power_finset(X, K + 1)
-    Pout = power_finset(X, K)
-    w = Fraction(1, K + 1)
-    rows = []
-    for t in Pin:
+
+    def drops(t: Label) -> Iterator[tuple[Label, int]]:
         coords = tuple_of(K + 1, t)
-        rows.append(Dist(Pout, ((untuple(K, coords[:i] + coords[i + 1 :]), w) for i in range(K + 1))))
-    return Kernel(Pin, Pout, tuple(rows))
+        return ((untuple(K, coords[:i] + coords[i + 1 :]), 1) for i in range(K + 1))
+
+    return frequency_kernel(power_finset(X, K + 1), power_finset(X, K), drops)
 
 
 @cache
 def dd_kernel(X: FinSet, K: int) -> Kernel:
     """Draw-and-delete: remove one uniformly drawn element from a size-K+1 urn."""
-    Min = multiset_space(X, K + 1)
-    Mout = multiset_space(X, K)
-    rows = tuple(Dist(Mout, ((m.minus(x), Fraction(c, K + 1)) for x, c in m.items())) for m in Min)
-    return Kernel(Min, Mout, rows)
+    Min, Mout = multiset_space(X, K + 1), multiset_space(X, K)
+    return frequency_kernel(Min, Mout, lambda m: ((m.minus(x), c) for x, c in m.items()))
 
 
 @cache

@@ -28,7 +28,7 @@ from .core import (
     tuple_of,
     untuple,
 )
-from .multisets import Multiset, acc_of_seq, multichoose, multiset_space
+from .multisets import Multiset, acc_of_seq, multiset_space
 
 
 @cache

@@ -48,7 +48,7 @@ from finstoch import (
     uniform_state,
     unit_finset,
 )
-from finstoch.core import Dist, Kernel, PointRows, tuple_of, unchecked_weights, untuple
+from finstoch.core import Dist, Kernel, PointRows, frequency_kernel, tuple_of, unchecked_weights, untuple
 
 AB = make_finset(["a", "b"])
 ABC = make_finset(["a", "b", "c"])
@@ -215,6 +215,20 @@ class TestCanonicalRow:
         assert (d == d_other) == (d.items == d_other.items)
         if d == d_other:
             assert hash(d) == hash(d_other)
+
+    @given(st.data())
+    def test_frequency_rows_are_relative_frequencies(self, data):
+        dom = make_finset("pqr"[: data.draw(st.integers(0, 3))])
+        cod = make_finset("abcd"[: data.draw(st.integers(1, 4))])
+        counts = st.tuples(st.sampled_from(cod.elements), st.integers(1, 6))
+        bag_of = {x: data.draw(st.lists(counts, min_size=1, max_size=8)) for x in dom}
+        k = frequency_kernel(dom, cod, lambda x: iter(bag_of[x]))
+        assert k.domain == dom and k.codomain == cod
+        for x in dom:
+            total = sum(c for _, c in bag_of[x])
+            expected = Dist(cod, [(y, F(c, total)) for y, c in bag_of[x]])
+            assert k.row(x) == expected
+            assert_canonical(k.row(x), expected.items)
 
     def test_unchecked_rows_keep_their_items(self):
         two = (("a", F(3, 2)), ("b", F(1, 2)))

@@ -183,6 +183,12 @@ class TestGridSpec:
         with pytest.raises(ValueError, match=name):
             GridSpec(**{name: (0, 1)})
 
+    @pytest.mark.parametrize("name, most", [("x_sizes", 4), ("y_sizes", 3)])
+    def test_sizes_past_the_atoms_refused(self, name, most):
+        with pytest.raises(ValueError, match=name):
+            GridSpec(**{name: (most, most + 1)})
+        assert getattr(GridSpec(**{name: (most,)}), name) == (most,)
+
     @pytest.mark.parametrize("name", ["k_values", "n_values"])
     def test_negative_sizes_refused(self, name):
         with pytest.raises(ValueError, match=name):

@@ -35,7 +35,7 @@ from finstoch import (
     reindex_kernel,
     section_kernel,
 )
-from finstoch.core import tuple_of
+from finstoch.core import Dist, Kernel, tuple_of, untuple
 
 AB = make_finset(["a", "b"])
 ABC = make_finset(["a", "b", "c"])
@@ -301,3 +301,35 @@ def test_acc_word_roundtrip(seq):
 def test_flrn_rows_sum_to_one(k):
     for row in flrn_kernel(ABC, k).rows:
         assert sum(row.as_dict.values()) == 1
+
+
+def weighted_draws(X, K):
+    """arr, Flrn, eps, del and DD on X at size K, each row written out with its closed-form Fraction weight."""
+    P, M = power_finset(X, K), multiset_space(X, K)
+    P1, M1 = power_finset(X, K + 1), multiset_space(X, K + 1)
+    kernels = {
+        "arr": Kernel(M, P, tuple(
+            Dist(P, [
+                (untuple(K, t), F(math.prod(math.factorial(c) for c in m.counts), math.factorial(K)))
+                for t in set(itertools.permutations(m.word()))
+            ])
+            for m in M
+        )),
+        "del": Kernel(P1, P, tuple(
+            Dist(P, [(untuple(K, cs[:i] + cs[i + 1 :]), F(1, K + 1)) for i in range(K + 1)])
+            for cs in (tuple_of(K + 1, t) for t in P1)
+        )),
+        "dd": Kernel(M1, M, tuple(Dist(M, [(m.minus(x), F(c, K + 1)) for x, c in m.items()]) for m in M1)),
+    }
+    if K >= 1:
+        kernels["epsilon"] = Kernel(P, X, tuple(Dist(X, [(c, F(1, K)) for c in tuple_of(K, t)]) for t in P))
+        kernels["flrn"] = Kernel(M, X, tuple(Dist(X, [(x, F(c, K)) for x, c in m.items()]) for m in M))
+    return kernels
+
+
+def test_draws_match_closed_form_weights():
+    built = {"arr": arr_kernel, "del": del_kernel, "dd": dd_kernel, "epsilon": epsilon_kernel, "flrn": flrn_kernel}
+    for n, K in itertools.product(range(4), range(5)):
+        X = make_finset("abc"[:n])
+        for name, expected in weighted_draws(X, K).items():
+            assert kernel_equal(built[name](X, K), expected), (name, n, K)
