@@ -13,107 +13,70 @@ import dataclasses
 import json
 import os
 import sys
-from contextlib import contextmanager
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from . import draws, multisets, split
 from .algebra import mzip_kernel
 from .core import (
     DEFAULT_CARRIER_LIMIT,
     CarrierTooLarge,
-    Dist,
     carrier_limit,
     coproduct_finset,
     make_finset,
     state_kernel,
 )
 from .multisets import Multiset
-from .textio import FormatError, dist_to_json, parse_dist, parse_urn, render_dist_lines
+from .textio import dist_to_json, parse_dist, parse_urn, render_dist_lines
 
 
 class UsageError(Exception):
     pass
 
 
-@contextmanager
-def _sized_by(name: str, value: int) -> Iterator[None]:
-    """Name the size behind an OverflowError or a carrier past the ceiling."""
-    try:
-        yield
-    except OverflowError:
-        raise UsageError(f"{name} {value} is too large to enumerate") from None
-    except CarrierTooLarge as exc:
-        raise UsageError(f"{name} {value} is too large: {exc}") from None
+# Each query parses and checks its arguments, then returns the size that names
+# it in an error, a thunk that builds its kernel, and the point whose row is printed.
 
 
-def _emit_dist(d: Dist, fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(dist_to_json(d)))
-    else:
-        for line in render_dist_lines(d):
-            print(line)
-
-
-def cmd_multinomial(args) -> int:
+def query_multinomial(args):
     d = parse_dist(args.dist)
-    with _sized_by("--k", args.k):
-        mn = draws.multinomial_kernel(state_kernel(d), args.k)
-    _emit_dist(mn.rows[0], args.format)
-    return 0
+    return ("--k", args.k), lambda: draws.multinomial_kernel(state_kernel(d), args.k), ()
 
 
-def cmd_hypergeometric(args) -> int:
+def query_hypergeometric(args):
     urn = parse_urn(args.urn)
     if args.draws > urn.size:
         raise UsageError(f"cannot draw {args.draws} from an urn of size {urn.size}")
-    with _sized_by("urn size", urn.size):
-        hg = draws.hypergeometric_kernel(urn.base, urn.size, args.draws)
-    _emit_dist(hg.row(urn), args.format)
-    return 0
+    return ("urn size", urn.size), lambda: draws.hypergeometric_kernel(urn.base, urn.size, args.draws), urn
 
 
-def cmd_dd(args) -> int:
+def query_dd(args):
     urn = parse_urn(args.urn)
     if urn.size < 1:
         raise UsageError("draw-and-delete needs a nonempty urn")
-    with _sized_by("urn size", urn.size):
-        dd = multisets.dd_kernel(urn.base, urn.size - 1)
-    _emit_dist(dd.row(urn), args.format)
-    return 0
+    return ("urn size", urn.size), lambda: multisets.dd_kernel(urn.base, urn.size - 1), urn
 
 
-def cmd_flrn(args) -> int:
+def query_flrn(args):
     urn = parse_urn(args.urn)
     if urn.size < 1:
         raise UsageError("frequentist learning needs a nonempty urn")
-    with _sized_by("urn size", urn.size):
-        flrn = multisets.flrn_kernel(urn.base, urn.size)
-    _emit_dist(flrn.row(urn), args.format)
-    return 0
+    return ("urn size", urn.size), lambda: multisets.flrn_kernel(urn.base, urn.size), urn
 
 
-def cmd_arr(args) -> int:
+def query_arr(args):
     urn = parse_urn(args.urn)
-    with _sized_by("urn size", urn.size):
-        arr = multisets.arr_kernel(urn.base, urn.size)
-    _emit_dist(arr.row(urn), args.format)
-    return 0
+    return ("urn size", urn.size), lambda: multisets.arr_kernel(urn.base, urn.size), urn
 
 
-def cmd_mzip(args) -> int:
+def query_mzip(args):
     left = parse_urn(args.left)
     right = parse_urn(args.right)
     if left.size != right.size:
         raise UsageError("mzip needs two urns of the same size")
-    K = left.size
-    with _sized_by("urn size", K):
-        mz = mzip_kernel(left.base, right.base, K)
-    row = mz.row((left, right))
-    _emit_dist(row, args.format)
-    return 0
+    return ("urn size", left.size), lambda: mzip_kernel(left.base, right.base, left.size), (left, right)
 
 
-def cmd_msplit(args) -> int:
+def query_msplit(args):
     urn = parse_urn(args.urn)
     left_labels = [lab.strip() for lab in args.left.split(",") if lab.strip()]
     unknown = [lab for lab in left_labels if lab not in urn.base.index]
@@ -124,9 +87,24 @@ def cmd_msplit(args) -> int:
     Y = make_finset([lab for lab in urn.base if lab not in left])
     XY = coproduct_finset((X, Y))
     tagged_urn = Multiset(XY, tuple(urn.count(lab.value) for lab in XY))
-    with _sized_by("urn size", urn.size):
-        ms = split.msplit_kernel(X, Y, urn.size)
-    _emit_dist(ms.row(tagged_urn), args.format)
+    return ("urn size", urn.size), lambda: split.msplit_kernel(X, Y, urn.size), tagged_urn
+
+
+def cmd_query(args) -> int:
+    """Build the query's kernel under the size guard and print its row at the query's point."""
+    (name, size), build, point = args.query(args)
+    try:
+        kernel = build()
+    except OverflowError:
+        raise UsageError(f"{name} {size} is too large to enumerate") from None
+    except CarrierTooLarge as exc:
+        raise UsageError(f"{name} {size} is too large: {exc}") from None
+    row = kernel.row(point)
+    if args.format == "json":
+        print(json.dumps(dist_to_json(row)))
+    else:
+        for line in render_dist_lines(row):
+            print(line)
     return 0
 
 
@@ -168,47 +146,41 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_format(p):
-        p.add_argument("--format", choices=("text", "json"), default="text")
-
     p = sub.add_parser("multinomial", help="draws with replacement from a distribution")
     p.add_argument("--dist", required=True, help="distribution, e.g. 'h:1/2,t:1/2'")
     p.add_argument("--k", type=int, required=True, help="number of draws")
-    add_format(p)
-    p.set_defaults(fn=cmd_multinomial)
+    queries = [(p, query_multinomial)]
 
     p = sub.add_parser("hypergeometric", help="draws without replacement from an urn")
     p.add_argument("--urn", required=True, help="urn, e.g. 'a:2,b:1'")
     p.add_argument("--draws", type=int, required=True)
-    add_format(p)
-    p.set_defaults(fn=cmd_hypergeometric)
+    queries.append((p, query_hypergeometric))
 
     p = sub.add_parser("dd", help="one uniform draw-and-delete step")
     p.add_argument("--urn", required=True)
-    add_format(p)
-    p.set_defaults(fn=cmd_dd)
+    queries.append((p, query_dd))
 
     p = sub.add_parser("flrn", help="normalise an urn to a distribution")
     p.add_argument("--urn", required=True)
-    add_format(p)
-    p.set_defaults(fn=cmd_flrn)
+    queries.append((p, query_flrn))
 
     p = sub.add_parser("arr", help="uniform arrangements of an urn into a sequence")
     p.add_argument("--urn", required=True)
-    add_format(p)
-    p.set_defaults(fn=cmd_arr)
+    queries.append((p, query_arr))
 
     p = sub.add_parser("mzip", help="multizip of two equal-size urns")
     p.add_argument("--left", required=True, help="first urn")
     p.add_argument("--right", required=True, help="second urn")
-    add_format(p)
-    p.set_defaults(fn=cmd_mzip)
+    queries.append((p, query_mzip))
 
     p = sub.add_parser("msplit", help="split an urn over a two-part alphabet")
     p.add_argument("--urn", required=True)
     p.add_argument("--left", required=True, help="comma-separated labels of the left part")
-    add_format(p)
-    p.set_defaults(fn=cmd_msplit)
+    queries.append((p, query_msplit))
+
+    for p, query in queries:
+        p.add_argument("--format", choices=("text", "json"), default="text")
+        p.set_defaults(fn=cmd_query, query=query)
 
     p = sub.add_parser("laws", help="run the law suite on the instance grid")
     p.add_argument("--max-set", type=int, default=None, help="cap carrier sizes")
@@ -238,7 +210,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         with open(os.devnull, "w") as null:
             os.dup2(null.fileno(), sys.stdout.fileno())
         return 2
-    except (FormatError, UsageError, KeyError, ValueError, OverflowError, CarrierTooLarge) as exc:
+    except (UsageError, KeyError, ValueError, OverflowError, CarrierTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,12 +1,17 @@
 """The command-line interface: rendered output, exit codes, JSON."""
 
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import asdict
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finstoch.cli import main
 from finstoch.laws import GridSpec
@@ -297,3 +302,78 @@ class TestSumToOneEverywhere:
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         assert reparse_total(out) == 1
+
+
+QUERY_COMMANDS = ["multinomial", "hypergeometric", "dd", "flrn", "arr", "mzip", "msplit"]
+TRANSCRIPT = json.loads((Path(__file__).parent / "cli_transcript.json").read_text())
+
+
+@pytest.mark.parametrize("call", TRANSCRIPT, ids=[f"{i:02d}-{c['argv'][0]}" for i, c in enumerate(TRANSCRIPT)])
+def test_transcript_is_byte_identical(capsys, call):
+    # pinned output of the README examples, JSON rows, every message that
+    # finstoch composes and the oversized queries
+    code, out, err = run_cli(capsys, *call["argv"])
+    assert (out, err, code) == (call["stdout"], call["stderr"], call["exit"])
+
+
+@pytest.mark.parametrize("command", [*QUERY_COMMANDS, "laws"])
+def test_every_subcommand_has_help(capsys, command):
+    code, out, _ = run_cli(capsys, command, "--help")
+    assert code == 0
+    assert out.startswith(f"usage: finstoch {command} ")
+    assert ("--format {text,json}" in out) == (command in QUERY_COMMANDS)
+
+
+# labels are mostly good, but include junk that the parsers must refuse;
+# counts include two sentinels that the carrier ceiling must refuse before
+# anything is built
+GOOD_LABELS = ["a", "b", "c"]
+JUNK_LABELS = ["", "a:b", "{", " x "]
+COUNTS = [0, 1, 2, 3, 4, 5, int(HUGE), 2**40]
+sizes = st.sampled_from([-1, *COUNTS]).map(str)
+labels = st.lists(st.sampled_from(GOOD_LABELS), unique=True, min_size=1, max_size=3) | st.lists(
+    st.sampled_from(GOOD_LABELS + JUNK_LABELS), max_size=3
+)
+
+
+@st.composite
+def urns(draw):
+    return ",".join(f"{lab}:{draw(st.sampled_from(COUNTS))}" for lab in draw(labels))
+
+
+@st.composite
+def dists(draw):
+    labs = draw(labels)
+    counts = [draw(st.sampled_from(COUNTS)) for _ in labs]
+    total = sum(counts) or 1
+    return ",".join(f"{lab}:{c}/{total}" for lab, c in zip(labs, counts))
+
+
+queries = st.one_of(
+    st.tuples(st.just("multinomial"), st.just("--dist"), dists(), st.just("--k"), sizes),
+    st.tuples(st.just("hypergeometric"), st.just("--urn"), urns(), st.just("--draws"), sizes),
+    st.tuples(st.sampled_from(["dd", "flrn", "arr"]), st.just("--urn"), urns()),
+    # an urn zipped with itself has a size to match
+    st.tuples(urns(), urns()).map(lambda lr: ("mzip", "--left", lr[0], "--right", lr[1])),
+    urns().map(lambda u: ("mzip", "--left", u, "--right", u)),
+    st.tuples(st.just("msplit"), st.just("--urn"), urns(), st.just("--left"), labels.map(",".join)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=queries, fmt=st.sampled_from(["text", "json"]))
+def test_query_exits_0_or_2_and_never_raises(argv, fmt):
+    # capsys is function-scoped, which hypothesis refuses, so redirect by hand
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main([*argv, "--format", fmt])
+    if code == 0:
+        assert err.getvalue() == ""
+        if fmt == "json":
+            assert sum(F(e["probability"]) for e in json.loads(out.getvalue())["entries"]) == 1
+        else:
+            assert reparse_total(out.getvalue()) == 1
+    else:
+        assert code == 2
+        assert out.getvalue() == ""
+        assert len(err.getvalue().splitlines()) == 1 and err.getvalue().startswith("error: ")
