@@ -9,11 +9,14 @@ part of the law suite.
 
 from __future__ import annotations
 
+import operator
 
 from .core import (
     FinSet,
     Kernel,
     Label,
+    PointRows,
+    _radix,
     cache,
     kernel_compose_all,
     kernel_from_function,
@@ -22,9 +25,8 @@ from .core import (
     reindex_kernel,
     tensor_finset,
     tuple_of,
-    untuple,
 )
-from .multisets import Multiset, acc_kernel, arr_kernel, multiset_space
+from .multisets import Multiset, acc_kernel, arr_kernel, multiset_index, multiset_space
 
 
 @cache
@@ -41,15 +43,16 @@ def stack_iso(X: FinSet, K: int, L: int) -> Kernel:
 
 @cache
 def zip_iso(X: FinSet, Y: FinSet, K: int) -> Kernel:
-    """The positionwise pairing bijection X^K (x) Y^K -> (X (x) Y)^K."""
+    """The positionwise pairing bijection X^K (x) Y^K -> (X (x) Y)^K: a re-indexing under the canonical orders.
+
+    Read in base |X|*|Y|, let the x-word have value a and the y-word value b;
+    their zip, whose j-th digit is x_j*|Y| + y_j, has value a*|Y| + b.
+    """
     dom = tensor_finset(power_finset(X, K), power_finset(Y, K))
     cod = power_finset(tensor_finset(X, Y), K)
-
-    def zipped(p: Label) -> Label:
-        a, b = p
-        return untuple(K, tuple(zip(tuple_of(K, a), tuple_of(K, b))))
-
-    return kernel_from_function(dom, cod, zipped)
+    m, n = len(X), len(Y)
+    xs, ys = _radix((range(m),) * K, m * n), _radix((range(n),) * K, m * n)
+    return Kernel(dom, cod, PointRows(cod, tuple(a * n + b for a in xs for b in ys)))
 
 
 def msum(phi: Multiset, psi: Multiset) -> Multiset:
@@ -105,12 +108,11 @@ def mu_kernel(X: FinSet, K: int, L: int) -> Kernel:
     """
     dom = multiset_space(multiset_space(X, L), K)
     cod = multiset_space(X, K * L)
+    rank = multiset_index(X, K * L)
+    # per base element, its count in each inner multiset of M[L](X)
+    columns = tuple(zip(*(inner.counts for inner in multiset_space(X, L))))
 
-    def flatten(outer: Label) -> Label:
-        counts = [0] * len(X)
-        for inner, c in outer.items():  # type: ignore[union-attr]
-            for i, v in enumerate(inner.counts):
-                counts[i] += c * v
-        return Multiset(X, tuple(counts))
+    def flatten(outer: Multiset) -> int:
+        return rank[tuple(sum(map(operator.mul, outer.counts, column)) for column in columns)]
 
-    return kernel_from_function(dom, cod, flatten)
+    return Kernel(dom, cod, PointRows(cod, tuple(map(flatten, dom))))

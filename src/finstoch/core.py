@@ -279,8 +279,9 @@ class Dist:
 
     @cached_property
     def items(self) -> tuple[tuple[Label, Fraction], ...]:
-        labels, den = self.carrier.elements, self.den
-        return tuple((labels[i], Fraction(n, den)) for i, n in zip(self.indices, self.nums))
+        # one Fraction per distinct numerator: they are immutable, so entries share them
+        weights = {n: Fraction(n, self.den) for n in set(self.nums)}
+        return tuple(zip(map(self.carrier.elements.__getitem__, self.indices), map(weights.__getitem__, self.nums)))
 
     @cached_property
     def as_dict(self) -> dict[Label, Fraction]:

@@ -8,15 +8,20 @@ so multisets concentrated on earlier base elements come first).
 The accumulation map ``acc`` sends a tuple to its count vector; every
 map *out of* the quotient is built by sending each multiset through its
 canonical representative tuple, and the fact that this is well defined
-is checked by the law suite rather than assumed.
+is checked by the law suite rather than assumed.  Maps *into* ``M[K](X)``
+find the position of a count vector through :func:`multiset_index`.
 
 arr, Flrn, coordinate sampling, uniform deletion and DD are relative
-frequencies of bags (``core.frequency_kernel``): no builder computes weights.
+frequencies of bags (``core.frequency_kernel``): no builder computes
+weights.  arr is the relative frequency of its ``acc`` fibre, the words
+with the multiset's count vector.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -24,6 +29,7 @@ from .core import (
     FinSet,
     Kernel,
     Label,
+    PointRows,
     _guard_length,
     _guard_size,
     cache,
@@ -47,8 +53,12 @@ class Multiset:
     def __post_init__(self) -> None:
         if len(self.counts) != len(self.base):
             raise ValueError("need one count per base element")
-        if any(c < 0 for c in self.counts):
+        if min(self.counts, default=0) < 0:
             raise ValueError("counts must be nonnegative")
+        object.__setattr__(self, "_hash", hash((self.base, self.counts)))  # frozen: computed once, here
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def size(self) -> int:
@@ -133,10 +143,32 @@ _multiset_space_cached = multiset_space  # the name perfbench's tracer reads the
 
 
 @cache
+def multiset_index(X: FinSet, K: int) -> dict[tuple[int, ...], int]:
+    """Each count vector's position in M[K](X), as one shared dict: the one place a count vector becomes a position."""
+    return {m.counts: i for i, m in enumerate(multiset_space(X, K))}
+
+
+def _word_counts(n: int, K: int) -> list[tuple[int, ...]]:
+    """The count vector of every word of length K over range(n), in the order of power_finset.
+
+    Appending letter j to a word adds one to its j-th count, so each
+    distinct count vector is extended once per letter, not once per word.
+    """
+    units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    extend = functools.cache(lambda v: [tuple(map(operator.add, v, u)) for u in units])
+    words = [(0,) * n]
+    for _ in range(K):
+        words = [w for v in words for w in extend(v)]
+    return words
+
+
+@cache
 def acc_kernel(X: FinSet, K: int) -> Kernel:
-    """The accumulation quotient map X^K -> M[K](X)."""
+    """The accumulation quotient map X^K -> M[K](X): each word goes to the position of its count vector."""
     M = multiset_space(X, K)
-    return kernel_from_function(power_finset(X, K), M, lambda t: acc_of_seq(X, tuple_of(K, t)))
+    P = power_finset(X, K)
+    rank = multiset_index(X, K)
+    return Kernel(P, M, PointRows(M, tuple(map(rank.__getitem__, _word_counts(len(X), K)))))
 
 
 @cache
@@ -145,30 +177,16 @@ def section_kernel(X: FinSet, K: int) -> Kernel:
     return kernel_from_function(multiset_space(X, K), power_finset(X, K), lambda m: untuple(K, m.word()))
 
 
-def _arrangements(m: Multiset) -> Iterator[tuple[Label, ...]]:
-    # Distinct rearrangements of the representative word, in lexicographic
-    # order by the next-permutation step, so no dedup pass is needed.
-    elems = m.base.elements
-    word = [i for i, c in enumerate(m.counts) for _ in range(c)]
-    while True:
-        yield tuple(elems[i] for i in word)
-        j = len(word) - 2
-        while j >= 0 and word[j] >= word[j + 1]:
-            j -= 1
-        if j < 0:
-            return
-        k = len(word) - 1
-        while word[k] <= word[j]:
-            k -= 1
-        word[j], word[k] = word[k], word[j]
-        word[j + 1 :] = reversed(word[j + 1 :])
-
-
 @cache
 def arr_kernel(X: FinSet, K: int) -> Kernel:
-    """Arrangement: each multiset goes uniformly to its distinct orderings."""
+    """Arrangement: each multiset goes uniformly to the words of its acc fibre."""
     P = power_finset(X, K)  # built first, so an oversized query names the power
-    return frequency_kernel(multiset_space(X, K), P, lambda m: ((untuple(K, t), 1) for t in _arrangements(m)))
+    M = multiset_space(X, K)
+    fibres: dict[tuple[int, ...], list[int]] = {m.counts: [] for m in M}
+    for i, counts in enumerate(_word_counts(len(X), K)):
+        fibres[counts].append(i)
+    words = P.elements
+    return frequency_kernel(M, P, lambda m: ((words[i], 1) for i in fibres[m.counts]))
 
 
 @cache
@@ -181,9 +199,8 @@ def perm_kernel(X: FinSet, K: int) -> Kernel:
     """
     P = power_finset(X, K)
     arr = arr_kernel(X, K)
-    M = multiset_space(X, K)
-    rows = [arr.rows[M.index[acc_of_seq(X, tuple_of(K, t))]] for t in P]
-    return Kernel(P, P, tuple(rows))
+    rank = multiset_index(X, K)
+    return Kernel(P, P, tuple(arr.rows[rank[counts]] for counts in _word_counts(len(X), K)))
 
 
 @cache

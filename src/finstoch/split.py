@@ -19,6 +19,7 @@ from .core import (
     FinSet,
     Kernel,
     Label,
+    PointRows,
     Tagged,
     cache,
     coproduct_finset,
@@ -28,7 +29,7 @@ from .core import (
     tuple_of,
     untuple,
 )
-from .multisets import Multiset, acc_of_seq, multiset_space
+from .multisets import Multiset, acc_of_seq, multiset_index, multiset_space
 
 
 @cache
@@ -110,16 +111,23 @@ def accs_kernel(X: FinSet, Y: FinSet, K: int) -> Kernel:
 
 @cache
 def msplit_kernel(X: FinSet, Y: FinSet, K: int) -> Kernel:
-    """Split a multiset over X + Y into its X part and Y part: the coproduct lists the X block first."""
+    """Split a multiset over X + Y into its X part and Y part: the coproduct lists the X block first.
+
+    The X part's size picks the block, whose pairs are row-major.
+    """
     dom = multiset_space(coproduct_finset((X, Y)), K)
     cod = msplit_space(X, Y, K)
     n = len(X)
+    ranks = [(multiset_index(X, i), multiset_index(Y, K - i)) for i in range(K + 1)]
+    starts = tuple(itertools.accumulate((len(rx) * len(ry) for rx, ry in ranks), initial=0))
 
-    def split(m: Label) -> Label:
+    def split(m: Multiset) -> int:
         xs = m.counts[:n]
-        return Tagged(sum(xs), (Multiset(X, xs), Multiset(Y, m.counts[n:])))
+        i = sum(xs)
+        rx, ry = ranks[i]
+        return starts[i] + rx[xs] * len(ry) + ry[m.counts[n:]]
 
-    return kernel_from_function(dom, cod, split)
+    return Kernel(dom, cod, PointRows(cod, tuple(map(split, dom))))
 
 
 @cache

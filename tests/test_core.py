@@ -242,6 +242,17 @@ class TestCanonicalRow:
         with pytest.raises(ValueError, match="negative weight"):
             Dist(AB, negative)
 
+    @pytest.mark.parametrize("checked", [True, False])
+    def test_items_with_repeated_numerators(self, checked):
+        ABCD = make_finset("abcd")
+        weights = [F(1, 6), F(1, 3), F(1, 6), F(1, 3)] if checked else [F(1, 6), F(-1, 3), F(1, 6), F(1, 6)]
+        with nullcontext() if checked else unchecked_weights():
+            d = Dist(ABCD, zip("abcd", weights))
+        labels = ABCD.elements
+        assert d.items == tuple((labels[i], F(n, d.den)) for i, n in zip(d.indices, d.nums))
+        assert d.items == tuple(zip("abcd", weights))
+        assert all(type(w) is F for _, w in d.items)
+
     @given(st.data(), st.booleans())
     def test_operations_match_fraction_references(self, data, checked):
         # checked: stochastic rows; unchecked: rows of any sign and total

@@ -79,6 +79,15 @@ class TestSpaces:
         with pytest.raises(ValueError):
             Multiset(AB, (-1, 2))
 
+    def test_hash_follows_equality(self):
+        built_apart = Multiset(make_finset(["a", "b"]), (2, 1))
+        counted = acc_of_seq(AB, ("b", "a", "a"))
+        assert built_apart == counted and hash(built_apart) == hash(counted)
+        assert hash(counted) == hash(counted)
+        BA = make_finset(["b", "a"])
+        assert Multiset(AB, (1, 1)) != Multiset(BA, (1, 1))
+        assert len({Multiset(AB, (1, 1)), Multiset(BA, (1, 1)), Multiset(AB, (1, 1))}) == 2
+
 
 class TestAccOfSeq:
     def test_counts_occurrences(self):
