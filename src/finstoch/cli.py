@@ -9,7 +9,6 @@ reader closes stdout early.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -109,7 +108,9 @@ def cmd_query(args) -> int:
 
 
 def cmd_laws(args) -> int:
-    # imported here so that query commands do not load the law runner
+    # imported here so that query commands load neither the law runner nor dataclasses
+    import dataclasses
+
     from .laws import GridSpec, law_registry, run_laws
 
     grid = GridSpec()

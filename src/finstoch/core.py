@@ -32,7 +32,6 @@ import math
 import operator
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
@@ -109,19 +108,45 @@ def _guard_length(K: int) -> None:
         raise CarrierTooLarge(f"length {K} exceeds limit {limit}")
 
 
-@dataclass(frozen=True)
-class Tagged:
+class Frozen:
+    """Base of the immutable value classes: ``__init__`` sets each field once, with ``object.__setattr__``.
+
+    That is what a frozen dataclass does, and unlike a write through
+    ``__dict__`` it keeps the instance's compact attribute storage.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Tagged(Frozen):
     """A coproduct element: summand index plus the inner label."""
 
     tag: int
     value: Label
 
+    def __init__(self, tag: int, value: Label) -> None:
+        object.__setattr__(self, "tag", tag)
+        object.__setattr__(self, "value", value)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.tag, self.value) == (other.tag, other.value)
+
+    def __hash__(self) -> int:
+        return hash((self.tag, self.value))
+
     def __repr__(self) -> str:
         return f"#{self.tag}:{self.value!r}"
 
 
-@dataclass(frozen=True)
-class FinSet:
+class FinSet(Frozen):
     """A finite set of distinct labels with a fixed total order.
 
     Labels are atoms (strings), pairs (product elements), tuples (power
@@ -132,10 +157,17 @@ class FinSet:
 
     elements: tuple[Label, ...]
 
-    def __post_init__(self) -> None:
-        _guard_size(len(self.elements))
-        if len(set(self.elements)) != len(self.elements):
+    def __init__(self, elements: tuple[Label, ...]) -> None:
+        object.__setattr__(self, "elements", elements)
+        _guard_size(len(elements))
+        if len(set(elements)) != len(elements):
             raise ValueError("FinSet labels must be distinct")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        # identity first: a carrier compared with itself must not walk its labels
+        return self.elements is other.elements or self.elements == other.elements
 
     @cached_property
     def index(self) -> dict[Label, int]:
@@ -226,8 +258,7 @@ def untuple(K: int, coords: Sequence[Label]) -> Label:
     return tuple(coords)
 
 
-@dataclass(frozen=True, init=False)
-class Dist:
+class Dist(Frozen):
     """A finitely-supported probability distribution with exact weights.
 
     Built from any iterable of (label, weight) pairs: the weights of a
@@ -276,6 +307,14 @@ class Dist:
                 raise ValueError("weights must sum to exactly 1")
         if den != self.den or len(nums) != len(self.nums):
             vars(self).update(indices=indices, nums=nums, den=den)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.carrier, self.indices, self.nums, self.den) == (other.carrier, other.indices, other.nums, other.den)
+
+    def __hash__(self) -> int:
+        return hash((self.carrier, self.indices, self.nums, self.den))
 
     @cached_property
     def items(self) -> tuple[tuple[Label, Fraction], ...]:
@@ -360,10 +399,17 @@ def make_dist(carrier: FinSet, weights: Mapping[Label, Fraction | int]) -> Dist:
 def frequency_kernel(
     domain: FinSet, codomain: FinSet, counts: Callable[[Label], Iterable[tuple[Label, int]]]
 ) -> Kernel:
-    """x |-> the relative frequencies of the nonempty bag ``counts(x)`` of (outcome, count > 0); repeats add up."""
-    index = codomain.index
-    tallies = (_tally((index[y], c) for y, c in counts(x)) for x in domain)
-    return Kernel(domain, codomain, tuple(_row(codomain, indices, nums, sum(nums)) for indices, nums in tallies))
+    """x |-> the relative frequencies of the nonempty bag ``counts(x)`` of (outcome, count > 0); repeats add up.
+
+    Each row is built when it is first read, so ``counts(x)`` runs only for the rows read, once each.
+    """
+    index, labels = codomain.index, domain.elements
+
+    def row(i: int) -> Dist:
+        indices, nums = _tally((index[y], c) for y, c in counts(labels[i]))
+        return _row(codomain, indices, nums, sum(nums))
+
+    return Kernel(domain, codomain, LazyRows(len(domain), row))
 
 
 def dirac(X: FinSet, x: Label) -> Dist:
@@ -394,8 +440,7 @@ def series_bullet(r: Dist, s: Dist) -> Dist:
     return _product(number_finset(len(r.carrier) * m), (r, s), m)
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(Frozen):
     """A bijection on K positions, 0-indexed one-line notation.
 
     Acting on a tuple, output position i holds input position images[i].
@@ -403,9 +448,21 @@ class Permutation:
 
     images: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if sorted(self.images) != list(range(len(self.images))):
+    def __init__(self, images: tuple[int, ...]) -> None:
+        object.__setattr__(self, "images", images)
+        if sorted(images) != list(range(len(images))):
             raise ValueError("images must be a bijection on 0..K-1")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.images == other.images
+
+    def __hash__(self) -> int:
+        return hash((self.images,))
+
+    def __repr__(self) -> str:
+        return f"Permutation(images={self.images!r})"
 
     @property
     def size(self) -> int:
@@ -435,7 +492,7 @@ def all_permutations(k: int) -> tuple[Permutation, ...]:
     return tuple(Permutation(p) for p in itertools.permutations(range(k)))
 
 
-class LazyRows(Sequence[Dist]):
+class LazyRows:
     """Kernel rows built on first use, each at most once.
 
     ``build(i)`` makes row i on the kernel's codomain.  Rows are built
@@ -469,7 +526,7 @@ class LazyRows(Sequence[Dist]):
         return row
 
     def __iter__(self) -> Iterator[Dist]:
-        # not the Sequence default, which would end quietly on an IndexError from a build
+        # not the default iteration by index, which would end quietly on an IndexError from a build
         return map(self.__getitem__, range(len(self._rows)))
 
     def __eq__(self, other) -> bool:
@@ -511,22 +568,32 @@ class PointRows(LazyRows):
     __hash__ = LazyRows.__hash__
 
 
-@dataclass(frozen=True)
-class Kernel:
+class Kernel(Frozen):
     """A stochastic map: one distribution over the codomain per domain element."""
 
     domain: FinSet
     codomain: FinSet
     rows: tuple[Dist, ...] | LazyRows
 
-    def __post_init__(self) -> None:
-        if len(self.rows) != len(self.domain):
+    def __init__(self, domain: FinSet, codomain: FinSet, rows: tuple[Dist, ...] | LazyRows) -> None:
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "codomain", codomain)
+        object.__setattr__(self, "rows", rows)
+        if len(rows) != len(domain):
             raise ValueError("need exactly one row per domain element")
-        if isinstance(self.rows, LazyRows):
+        if isinstance(rows, LazyRows):
             return  # built on the codomain by construction
-        for row in self.rows:
-            if row.carrier != self.codomain:
+        for row in rows:
+            if row.carrier != codomain:
                 raise ValueError("row carrier differs from codomain")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.domain, self.codomain, self.rows) == (other.domain, other.codomain, other.rows)
+
+    def __hash__(self) -> int:
+        return hash((self.domain, self.codomain, self.rows))
 
     def row(self, x: Label) -> Dist:
         return self.rows[self.domain.index[x]]

@@ -22,11 +22,11 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .core import (
     FinSet,
+    Frozen,
     Kernel,
     Label,
     PointRows,
@@ -43,19 +43,25 @@ from .core import (
 )
 
 
-@dataclass(frozen=True)
-class Multiset:
+class Multiset(Frozen):
     """A size-K multiset over a base FinSet, stored as a count vector."""
 
     base: FinSet
     counts: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.counts) != len(self.base):
+    def __init__(self, base: FinSet, counts: tuple[int, ...]) -> None:
+        if len(counts) != len(base):
             raise ValueError("need one count per base element")
-        if min(self.counts, default=0) < 0:
+        if min(counts, default=0) < 0:
             raise ValueError("counts must be nonnegative")
-        object.__setattr__(self, "_hash", hash((self.base, self.counts)))  # frozen: computed once, here
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "_hash", hash((base, counts)))  # hashed once, here
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.base, self.counts) == (other.base, other.counts)
 
     def __hash__(self) -> int:
         return self._hash
@@ -246,7 +252,14 @@ def del_kernel(X: FinSet, K: int) -> Kernel:
 def dd_kernel(X: FinSet, K: int) -> Kernel:
     """Draw-and-delete: remove one uniformly drawn element from a size-K+1 urn."""
     Min, Mout = multiset_space(X, K + 1), multiset_space(X, K)
-    return frequency_kernel(Min, Mout, lambda m: ((m.minus(x), c) for x, c in m.items()))
+    rank, urns = multiset_index(X, K), Mout.elements
+
+    def draws(m: Multiset) -> Iterator[tuple[Multiset, int]]:
+        # drawing colour i, held c times, leaves the count vector with one fewer i
+        v = m.counts
+        return ((urns[rank[v[:i] + (c - 1,) + v[i + 1 :]]], c) for i, c in enumerate(v) if c)
+
+    return frequency_kernel(Min, Mout, draws)
 
 
 @cache

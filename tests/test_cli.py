@@ -235,6 +235,17 @@ def test_query_commands_do_not_import_the_law_runner():
     assert result.stdout.strip() == "set()"
 
 
+def test_cli_import_is_lean_and_laws_still_run():
+    # every query pays for this import: it loads neither dataclasses nor the law runner
+    probe = "import sys, finstoch.cli; print(sorted({'dataclasses', 'finstoch.laws'} & set(sys.modules)))"
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"
+    argv = [sys.executable, "-m", "finstoch.cli", "laws", "--max-set", "1", "--max-k", "1"]
+    result = subprocess.run(argv, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == ""
+
+
 def test_closed_pipe_exits_2_without_traceback():
     # 88,900 bytes of output: more than a pipe holds, so the write fails once the reader is gone
     argv = [sys.executable, "-m", "finstoch.cli", "hypergeometric", "--urn", "a:300,b:300", "--draws", "300"]

@@ -48,7 +48,9 @@ from finstoch import (
     uniform_state,
     unit_finset,
 )
-from finstoch.core import Dist, Kernel, PointRows, frequency_kernel, tuple_of, unchecked_weights, untuple
+from finstoch import multisets
+from finstoch.core import Dist, FinSet, Kernel, PointRows, frequency_kernel, tuple_of, unchecked_weights, untuple
+from finstoch.multisets import Multiset, flrn_kernel, multiset_space
 
 AB = make_finset(["a", "b"])
 ABC = make_finset(["a", "b", "c"])
@@ -339,6 +341,138 @@ class TestKernel:
         row = sq.rows[0]
         assert row.weight(("a", "a")) == F(1, 9)
         assert row.weight(("b", "b")) == F(4, 9)
+
+
+class CountingLabel:
+    """A label that counts the calls of its ``__eq__``."""
+
+    calls = 0
+
+    def __init__(self, name):
+        self.name = name
+
+    def __eq__(self, other):
+        CountingLabel.calls += 1
+        return isinstance(other, CountingLabel) and self.name == other.name
+
+    def __hash__(self):
+        return hash(self.name)
+
+
+class CountingTuple(tuple):
+    """A tuple of labels that counts the calls of its ``__eq__``."""
+
+    calls = 0
+
+    def __eq__(self, other):
+        CountingTuple.calls += 1
+        return tuple.__eq__(self, other)
+
+    __hash__ = tuple.__hash__
+
+
+def value_pairs():
+    """(class name, value, an equal value built apart, a field name) for each of the six value classes."""
+    def dist():
+        return make_dist(make_finset("ab"), {"a": F(1, 3), "b": F(2, 3)})
+
+    def kernel():
+        return Kernel(make_finset("pq"), make_finset("ab"), (dist(), dist()))
+
+    return [
+        ("Tagged", Tagged(0, "a"), Tagged(0, "a"), "tag"),
+        ("FinSet", make_finset("abc"), make_finset(list("abc")), "elements"),
+        ("Dist", dist(), dist(), "den"),
+        ("Permutation", Permutation((1, 0, 2)), Permutation(tuple([1, 0, 2])), "images"),
+        ("Kernel", kernel(), kernel(), "rows"),
+        ("Multiset", Multiset(make_finset("ab"), (2, 1)), Multiset(make_finset("ab"), (2, 1)), "counts"),
+    ]
+
+
+VALUE_PAIRS = pytest.mark.parametrize("name, value, twin, field", value_pairs(), ids=[p[0] for p in value_pairs()])
+
+
+class TestValueClasses:
+    """Tagged, FinSet, Dist, Permutation, Kernel and Multiset are immutable values."""
+
+    @VALUE_PAIRS
+    def test_equal_values_built_apart(self, name, value, twin, field):
+        assert value is not twin
+        assert value == twin and not value != twin
+        assert hash(value) == hash(twin)
+        assert len({value, twin}) == 1
+
+    @VALUE_PAIRS
+    def test_fields_cannot_be_assigned(self, name, value, twin, field):
+        before = getattr(value, field)
+        with pytest.raises(AttributeError):
+            setattr(value, field, before)
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+        assert getattr(value, field) is before and value == twin
+
+    def test_values_differ_from_their_fields(self):
+        assert Tagged(0, "a") != (0, "a")
+        assert Tagged(0, "a") != Tagged(1, "a")
+        assert make_finset("ab") != ("a", "b")
+        assert Permutation((0, 1)) != (0, 1)
+        assert Multiset(AB, (1, 1)) != Multiset(make_finset("ba"), (1, 1))
+
+    def test_reprs(self):
+        assert repr(Permutation((1, 0, 2))) == "Permutation(images=(1, 0, 2))"
+        assert repr(Tagged(1, "a")) == "#1:'a'"
+        assert repr(make_finset("ab")) == "FinSet('a', 'b')"
+        assert repr(fair_ab()) == "Dist('a': 1/2, 'b': 1/2)"
+        assert repr(identity_kernel(ABC)) == "Kernel(3->3)"
+        assert repr(Multiset(AB, (2, 1))) == "2|a|+1|b|"
+
+    def test_carrier_compared_with_itself_walks_nothing(self):
+        X = FinSet(CountingTuple(CountingLabel(i) for i in range(50)))
+        CountingLabel.calls = CountingTuple.calls = 0
+        assert X == X and not X != X
+        assert X == FinSet(X.elements)
+        assert kernel_equal(identity_kernel(X), identity_kernel(X))
+        assert CountingLabel.calls == 0
+        assert CountingTuple.calls == 0  # the element tuples are compared by identity first
+
+
+class TestFrequencyRowsOnFirstUse:
+    """frequency_kernel builds each row when it is first read."""
+
+    def test_one_row_read_calls_the_bag_once(self, monkeypatch):
+        calls = []
+        real = multisets.frequency_kernel
+
+        def counted(domain, codomain, counts):
+            def bag(x):
+                calls.append(x)
+                return counts(x)
+
+            return real(domain, codomain, bag)
+
+        monkeypatch.setattr(multisets, "frequency_kernel", counted)
+        X = make_finset(["lazy-r", "lazy-g", "lazy-b"])  # labels no other test builds, so no cache hit
+        urn = Multiset(X, (2, 0, 3))
+        k = flrn_kernel(X, 5)
+        assert calls == []
+        assert k.row(urn) == make_dist(X, {"lazy-r": F(2, 5), "lazy-b": F(3, 5)})
+        assert k.row(urn) is k.row(urn)
+        assert calls == [urn]
+
+    @pytest.mark.parametrize("n, K", [(1, 1), (2, 3), (3, 4)])
+    def test_lazy_kernel_equals_its_eager_twin(self, n, K):
+        X = make_finset("abc"[:n])
+        M = multiset_space(X, K)
+        eager = Kernel(M, X, tuple(make_dist(X, {x: F(c, K) for x, c in m.items()}) for m in M))
+        assert kernel_equal(flrn_kernel(X, K), eager)
+        assert kernel_equal(eager, flrn_kernel(X, K))
+        assert hash(flrn_kernel(X, K)) == hash(eager)
+
+    def test_label_outside_the_codomain_raises_when_read(self):
+        k = frequency_kernel(AB, ABC, lambda x: [("a", 1), ("z", 1)] if x == "b" else [("a", 1)])
+        assert k.row("a") == dirac(ABC, "a")
+        with pytest.raises(KeyError):
+            k.row("b")
 
 
 class TestLazyRows:
