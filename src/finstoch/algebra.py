@@ -14,17 +14,14 @@ import operator
 from .core import (
     FinSet,
     Kernel,
-    Label,
     PointRows,
     _radix,
     cache,
     kernel_compose_all,
-    kernel_from_function,
     kernel_tensor,
     power_finset,
     reindex_kernel,
     tensor_finset,
-    tuple_of,
 )
 from .multisets import Multiset, acc_kernel, arr_kernel, multiset_index, multiset_space
 
@@ -62,11 +59,20 @@ def msum(phi: Multiset, psi: Multiset) -> Multiset:
     return Multiset(phi.base, tuple(a + b for a, b in zip(phi.counts, psi.counts)))
 
 
+def _sum_targets(X: FinSet, parts: tuple[FinSet, ...], total: int) -> tuple[int, ...]:
+    """The M[total](X) position of the sum of each choice of one multiset per part, leftmost part most significant."""
+    sums = [(0,) * len(X)]
+    for part in parts:
+        sums = [tuple(map(operator.add, s, m.counts)) for s in sums for m in part]
+    return tuple(map(multiset_index(X, total).__getitem__, sums))
+
+
 @cache
 def msum_kernel(X: FinSet, K: int, L: int) -> Kernel:
     """Multiset addition as a deterministic kernel M[K](X) (x) M[L](X) -> M[K+L](X)."""
-    dom = tensor_finset(multiset_space(X, K), multiset_space(X, L))
-    return kernel_from_function(dom, multiset_space(X, K + L), lambda p: msum(p[0], p[1]))
+    MK, ML = multiset_space(X, K), multiset_space(X, L)
+    dom, cod = tensor_finset(MK, ML), multiset_space(X, K + L)
+    return Kernel(dom, cod, PointRows(cod, _sum_targets(X, (MK, ML), K + L)))
 
 
 @cache
@@ -86,17 +92,9 @@ def mzip_kernel(X: FinSet, Y: FinSet, K: int) -> Kernel:
 @cache
 def ksum_kernel(X: FinSet, K: int, L: int) -> Kernel:
     """The K-fold iterated sum (M[L](X))^K -> M[K*L](X)."""
-    dom = power_finset(multiset_space(X, L), K)
-    cod = multiset_space(X, K * L)
-    empty = Multiset(X, (0,) * len(X))
-
-    def total(t: Label) -> Label:
-        out = empty
-        for m in tuple_of(K, t):
-            out = msum(out, m)
-        return out
-
-    return kernel_from_function(dom, cod, total)
+    ML = multiset_space(X, L)
+    dom, cod = power_finset(ML, K), multiset_space(X, K * L)
+    return Kernel(dom, cod, PointRows(cod, _sum_targets(X, (ML,) * K, K * L)))
 
 
 @cache

@@ -113,9 +113,27 @@ class Frozen:
 
     That is what a frozen dataclass does, and unlike a write through
     ``__dict__`` it keeps the instance's compact attribute storage.
+    ``==`` and ``hash`` are derived, as a dataclass derives them, from
+    the fields the class annotates, in declared order: two values are
+    equal when they have the same class and equal fields.
     """
 
     __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        fields = cls.__dict__.get("__annotations__")
+        if fields:  # a subclass that annotates nothing compares as its base
+            cls._key = operator.attrgetter(*fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        key = self._key
+        return key(self) == key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -133,14 +151,6 @@ class Tagged(Frozen):
     def __init__(self, tag: int, value: Label) -> None:
         object.__setattr__(self, "tag", tag)
         object.__setattr__(self, "value", value)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.tag, self.value) == (other.tag, other.value)
-
-    def __hash__(self) -> int:
-        return hash((self.tag, self.value))
 
     def __repr__(self) -> str:
         return f"#{self.tag}:{self.value!r}"
@@ -308,14 +318,6 @@ class Dist(Frozen):
         if den != self.den or len(nums) != len(self.nums):
             vars(self).update(indices=indices, nums=nums, den=den)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.carrier, self.indices, self.nums, self.den) == (other.carrier, other.indices, other.nums, other.den)
-
-    def __hash__(self) -> int:
-        return hash((self.carrier, self.indices, self.nums, self.den))
-
     @cached_property
     def items(self) -> tuple[tuple[Label, Fraction], ...]:
         # one Fraction per distinct numerator: they are immutable, so entries share them
@@ -453,14 +455,6 @@ class Permutation(Frozen):
         if sorted(images) != list(range(len(images))):
             raise ValueError("images must be a bijection on 0..K-1")
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.images == other.images
-
-    def __hash__(self) -> int:
-        return hash((self.images,))
-
     def __repr__(self) -> str:
         return f"Permutation(images={self.images!r})"
 
@@ -500,14 +494,16 @@ class LazyRows:
     made, whenever they are first read.  Indexing, iteration, ``==`` and
     ``hash`` behave as for the tuple of all rows, which they force.
     Threads that first read a row at once may each build it; the rows
-    they build are equal, and one is kept.
+    they build are equal, and one is kept.  Once every row is built, the
+    sequence lets go of ``build`` and of all it holds.
     """
 
-    __slots__ = ("_build", "_rows", "_validate")
+    __slots__ = ("_build", "_rows", "_unbuilt", "_validate")
 
     def __init__(self, n: int, build: Callable[[int], Dist]) -> None:
-        self._build = build
+        self._build: Callable[[int], Dist] | None = build
         self._rows: list[Dist | None] = [None] * n
+        self._unbuilt = n
         self._validate = _VALIDATE_WEIGHTS.get()
 
     def __len__(self) -> int:
@@ -516,13 +512,18 @@ class LazyRows:
     def __getitem__(self, i):
         if isinstance(i, slice):
             return tuple(self[j] for j in range(*i.indices(len(self._rows))))
+        build = self._build  # read before the row: it is None only once every row is built
         row = self._rows[i]
         if row is None:
             token = _VALIDATE_WEIGHTS.set(self._validate)
             try:
-                row = self._rows[i] = self._build(i % len(self._rows))
+                row = self._rows[i] = build(i % len(self._rows))
             finally:
                 _VALIDATE_WEIGHTS.reset(token)
+            self._unbuilt -= 1
+            # threads that build one row at once each count it, so the count alone is not proof
+            if self._unbuilt <= 0 and None not in self._rows:
+                self._build = None
         return row
 
     def __iter__(self) -> Iterator[Dist]:
@@ -586,14 +587,6 @@ class Kernel(Frozen):
         for row in rows:
             if row.carrier != codomain:
                 raise ValueError("row carrier differs from codomain")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.domain, self.codomain, self.rows) == (other.domain, other.codomain, other.rows)
-
-    def __hash__(self) -> int:
-        return hash((self.domain, self.codomain, self.rows))
 
     def row(self, x: Label) -> Dist:
         return self.rows[self.domain.index[x]]
@@ -784,4 +777,4 @@ def is_deterministic(f: Kernel) -> bool:
 
 def kernel_equal(f: Kernel, g: Kernel) -> bool:
     """Exact equality: same carriers, identical normalized weights."""
-    return f.domain == g.domain and f.codomain == g.codomain and f.rows == g.rows
+    return f == g

@@ -1283,7 +1283,7 @@ _FAILURE_DETAIL_CAP = 10
 @dataclass(frozen=True)
 class LawResult:
     law_id: str
-    ref: str
+    paper_ref: str
     instances: int
     passes: int
     failure_count: int
@@ -1292,16 +1292,7 @@ class LawResult:
     seconds: float
 
     def to_json(self) -> dict:
-        return {
-            "law_id": self.law_id,
-            "paper_ref": self.ref,
-            "instances": self.instances,
-            "passes": self.passes,
-            "failure_count": self.failure_count,
-            "failures": list(self.failures),
-            "skipped": self.skipped,
-            "seconds": self.seconds,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -1375,7 +1366,7 @@ def _run_law(law: Law, grid: GridSpec) -> LawResult:
             failures.append(inst.describe())
     return LawResult(
         law_id=law.id,
-        ref=law.ref,
+        paper_ref=law.ref,
         instances=instances,
         passes=passes,
         failure_count=len(failures),

@@ -58,11 +58,6 @@ class Multiset(Frozen):
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "_hash", hash((base, counts)))  # hashed once, here
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.base, self.counts) == (other.base, other.counts)
-
     def __hash__(self) -> int:
         return self._hash
 

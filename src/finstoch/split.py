@@ -134,9 +134,6 @@ def msplit_kernel(X: FinSet, Y: FinSet, K: int) -> Kernel:
 def msplit_inv_kernel(X: FinSet, Y: FinSet, K: int) -> Kernel:
     """Merge an (X part, Y part) pair back into one multiset over X + Y."""
     XY = coproduct_finset((X, Y))
-
-    def merge(z: Label) -> Label:
-        mx, my = z.value
-        return Multiset(XY, mx.counts + my.counts)
-
-    return kernel_from_function(msplit_space(X, Y, K), multiset_space(XY, K), merge)
+    dom, cod = msplit_space(X, Y, K), multiset_space(XY, K)
+    rank = multiset_index(XY, K)
+    return Kernel(dom, cod, PointRows(cod, tuple(rank[mx.counts + my.counts] for mx, my in (z.value for z in dom))))

@@ -2,6 +2,10 @@
 
 import itertools
 import math
+import sys
+import threading
+import time
+import weakref
 from contextlib import nullcontext
 from fractions import Fraction as F
 from functools import cache
@@ -359,6 +363,10 @@ class CountingLabel:
         return hash(self.name)
 
 
+class Holder:
+    """An object a weak reference can point at."""
+
+
 class CountingTuple(tuple):
     """A tuple of labels that counts the calls of its ``__eq__``."""
 
@@ -392,6 +400,31 @@ def value_pairs():
 VALUE_PAIRS = pytest.mark.parametrize("name, value, twin, field", value_pairs(), ids=[p[0] for p in value_pairs()])
 
 
+def one_field_twins():
+    """(value class, a value, per annotated field a twin of the value that differs in that field alone)."""
+    quarters = {"a": F(1, 4), "b": F(3, 4)}
+    with unchecked_weights():
+        fifths = Dist(ABC, (("a", F(1, 5)), ("b", F(3, 5))))  # the numerators of quarters over 5
+    rows, BA = PointRows(AB, (0, 1)), make_finset("ba")
+    return [
+        (Tagged, Tagged(0, "a"), {"tag": Tagged(1, "a"), "value": Tagged(0, "b")}),
+        (FinSet, AB, {"elements": BA}),
+        (Dist, make_dist(ABC, quarters), {
+            "carrier": make_dist(make_finset("abd"), quarters),
+            "indices": make_dist(ABC, {"a": F(1, 4), "c": F(3, 4)}),
+            "nums": make_dist(ABC, {"a": F(3, 4), "b": F(1, 4)}),
+            "den": fifths,
+        }),
+        (Permutation, Permutation((0, 1)), {"images": Permutation((1, 0))}),
+        (Kernel, Kernel(AB, AB, rows), {
+            "domain": Kernel(BA, AB, rows),
+            "codomain": Kernel(AB, BA, rows),  # lazy rows are not checked against the codomain
+            "rows": Kernel(AB, AB, PointRows(AB, (1, 0))),
+        }),
+        (Multiset, Multiset(AB, (1, 0)), {"base": Multiset(BA, (1, 0)), "counts": Multiset(AB, (0, 1))}),
+    ]
+
+
 class TestValueClasses:
     """Tagged, FinSet, Dist, Permutation, Kernel and Multiset are immutable values."""
 
@@ -410,6 +443,14 @@ class TestValueClasses:
         with pytest.raises(AttributeError):
             delattr(value, field)
         assert getattr(value, field) is before and value == twin
+
+    @pytest.mark.parametrize("cls, value, twins", one_field_twins(), ids=[c.__name__ for c, _, _ in one_field_twins()])
+    def test_every_field_takes_part_in_equality(self, cls, value, twins):
+        fields = tuple(vars(cls)["__annotations__"])
+        assert tuple(twins) == fields
+        for field, twin in twins.items():
+            assert [getattr(twin, f) == getattr(value, f) for f in fields] == [f != field for f in fields]
+            assert value != twin and twin != value and not value == twin, field
 
     def test_values_differ_from_their_fields(self):
         assert Tagged(0, "a") != (0, "a")
@@ -467,6 +508,49 @@ class TestFrequencyRowsOnFirstUse:
         assert kernel_equal(flrn_kernel(X, K), eager)
         assert kernel_equal(eager, flrn_kernel(X, K))
         assert hash(flrn_kernel(X, K)) == hash(eager)
+
+    def test_bag_let_go_once_every_row_is_read(self):
+        held = Holder()
+        alive = weakref.ref(held)
+        k = frequency_kernel(ABC, AB, lambda x, held=held: [("a", 1), ("b", 2)])
+        del held
+        k.row("c")
+        k.row("a")
+        assert alive() is not None
+        k.row("b")
+        assert alive() is None
+        assert k.rows == (make_dist(AB, {"a": F(1, 3), "b": F(2, 3)}),) * 3
+
+    def test_rows_read_from_threads_are_the_eager_rows(self):
+        P = power_finset(ABC, 3)
+
+        def bag(t):
+            time.sleep(0)  # let another thread in while the row is built
+            return [(c, i + 1) for i, c in enumerate(t)]
+
+        eager = tuple(Dist(ABC, [(c, F(n, 6)) for c, n in bag(t)]) for t in P)
+        n = len(P)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                k, seen = frequency_kernel(P, ABC, bag), []
+
+                def read(start):
+                    seen.append([(i % n, k.rows[i % n]) for i in range(start, start + n)])
+
+                # two threads read in step, so rows are built twice; two start half-way
+                threads = [threading.Thread(target=read, args=(s // 2 * n // 2,)) for s in range(4)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=10)
+                assert not any(t.is_alive() for t in threads)
+                assert len(seen) == 4
+                assert all(dict(rows) == dict(enumerate(eager)) for rows in seen)
+                assert k.rows == eager
+        finally:
+            sys.setswitchinterval(switch)
 
     def test_label_outside_the_codomain_raises_when_read(self):
         k = frequency_kernel(AB, ABC, lambda x: [("a", 1), ("z", 1)] if x == "b" else [("a", 1)])

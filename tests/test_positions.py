@@ -1,10 +1,11 @@
 """The builders that work on carrier positions against label-level twins.
 
-acc, arr, perm, zip, mu and msplit find their targets from count vectors
-and mixed-radix positions.  Each twin below builds the same kernel the
-label way: it makes every multiset or tuple and looks it up in the
-codomain.  The twins use next-permutation for the arrangements and
-``acc_of_seq`` for the accumulation.
+acc, arr, perm, zip, mu, msum, ksum, msplit and its inverse find their
+targets from count vectors and mixed-radix positions.  Each twin below
+builds the same kernel the label way: it makes every multiset or tuple
+and looks it up in the codomain.  The twins use next-permutation for
+the arrangements, ``acc_of_seq`` for the accumulation and ``msum`` for
+the sums.
 """
 
 from fractions import Fraction as F
@@ -22,9 +23,13 @@ from finstoch import (
     kernel_equal,
     kernel_from_function,
     kernel_tensor,
+    ksum_kernel,
     make_finset,
+    msplit_inv_kernel,
     msplit_kernel,
     msplit_space,
+    msum,
+    msum_kernel,
     multiset_space,
     mu_kernel,
     mzip_kernel,
@@ -106,6 +111,31 @@ def eager_msplit(X, Y, K):
     return kernel_from_function(multiset_space(coproduct_finset((X, Y)), K), msplit_space(X, Y, K), split)
 
 
+def eager_msplit_inv(X, Y, K):
+    XY = coproduct_finset((X, Y))
+
+    def merge(z):
+        mx, my = z.value
+        return Multiset(XY, mx.counts + my.counts)
+
+    return kernel_from_function(msplit_space(X, Y, K), multiset_space(XY, K), merge)
+
+
+def eager_msum(X, K, L):
+    dom = tensor_finset(multiset_space(X, K), multiset_space(X, L))
+    return kernel_from_function(dom, multiset_space(X, K + L), lambda p: msum(p[0], p[1]))
+
+
+def eager_ksum(X, K, L):
+    def total(t):
+        out = Multiset(X, (0,) * len(X))
+        for m in tuple_of(K, t):
+            out = msum(out, m)
+        return out
+
+    return kernel_from_function(power_finset(multiset_space(X, L), K), multiset_space(X, K * L), total)
+
+
 def eager_mzip(X, Y, K):
     return kernel_compose_all(
         eager_acc(tensor_finset(X, Y), K), eager_zip(X, Y, K), kernel_tensor(eager_arr(X, K), eager_arr(Y, K))
@@ -126,6 +156,7 @@ def test_zip_and_msplit_match_twins(X):
         for K in KS:
             assert kernel_equal(zip_iso(X, Y, K), eager_zip(X, Y, K)), (Y, K)
             assert kernel_equal(msplit_kernel(X, Y, K), eager_msplit(X, Y, K)), (Y, K)
+            assert kernel_equal(msplit_inv_kernel(X, Y, K), eager_msplit_inv(X, Y, K)), (Y, K)
 
 
 @pytest.mark.parametrize("X", BASES, ids=len)
@@ -133,6 +164,14 @@ def test_mu_matches_twin(X):
     for K in KS:
         for L in KS:
             assert kernel_equal(mu_kernel(X, K, L), eager_mu(X, K, L)), (K, L)
+
+
+@pytest.mark.parametrize("X", BASES, ids=len)
+def test_msum_and_ksum_match_twins(X):
+    for K in KS:
+        for L in KS:
+            assert kernel_equal(msum_kernel(X, K, L), eager_msum(X, K, L)), (K, L)
+            assert kernel_equal(ksum_kernel(X, K, L), eager_ksum(X, K, L)), (K, L)
 
 
 def test_mzip_matches_twin_composite():
