@@ -23,7 +23,7 @@ from .core import (
     reindex_kernel,
     tensor_finset,
 )
-from .multisets import Multiset, acc_kernel, arr_kernel, multiset_index, multiset_space
+from .multisets import Multiset, acc_kernel, arr_kernel, count_vectors, multiset_index, multiset_space
 
 
 @cache
@@ -59,11 +59,11 @@ def msum(phi: Multiset, psi: Multiset) -> Multiset:
     return Multiset(phi.base, tuple(a + b for a, b in zip(phi.counts, psi.counts)))
 
 
-def _sum_targets(X: FinSet, parts: tuple[FinSet, ...], total: int) -> tuple[int, ...]:
-    """The M[total](X) position of the sum of each choice of one multiset per part, leftmost part most significant."""
+def _sum_targets(X: FinSet, sizes: tuple[int, ...], total: int) -> tuple[int, ...]:
+    """The M[total](X) position of the sum of each choice of one multiset per size, leftmost size most significant."""
     sums = [(0,) * len(X)]
-    for part in parts:
-        sums = [tuple(map(operator.add, s, m.counts)) for s in sums for m in part]
+    for size in sizes:
+        sums = [tuple(map(operator.add, s, v)) for s in sums for v in count_vectors(len(X), size)]
     return tuple(map(multiset_index(X, total).__getitem__, sums))
 
 
@@ -72,7 +72,7 @@ def msum_kernel(X: FinSet, K: int, L: int) -> Kernel:
     """Multiset addition as a deterministic kernel M[K](X) (x) M[L](X) -> M[K+L](X)."""
     MK, ML = multiset_space(X, K), multiset_space(X, L)
     dom, cod = tensor_finset(MK, ML), multiset_space(X, K + L)
-    return Kernel(dom, cod, PointRows(cod, _sum_targets(X, (MK, ML), K + L)))
+    return Kernel(dom, cod, PointRows(cod, _sum_targets(X, (K, L), K + L)))
 
 
 @cache
@@ -94,7 +94,7 @@ def ksum_kernel(X: FinSet, K: int, L: int) -> Kernel:
     """The K-fold iterated sum (M[L](X))^K -> M[K*L](X)."""
     ML = multiset_space(X, L)
     dom, cod = power_finset(ML, K), multiset_space(X, K * L)
-    return Kernel(dom, cod, PointRows(cod, _sum_targets(X, (ML,) * K, K * L)))
+    return Kernel(dom, cod, PointRows(cod, _sum_targets(X, (L,) * K, K * L)))
 
 
 @cache
@@ -104,13 +104,14 @@ def mu_kernel(X: FinSet, K: int, L: int) -> Kernel:
     An outer multiset of inner multisets flattens to the
     multiplicity-weighted pointwise sum of its inner multisets.
     """
-    dom = multiset_space(multiset_space(X, L), K)
+    ML = multiset_space(X, L)
+    dom = multiset_space(ML, K)
     cod = multiset_space(X, K * L)
     rank = multiset_index(X, K * L)
     # per base element, its count in each inner multiset of M[L](X)
-    columns = tuple(zip(*(inner.counts for inner in multiset_space(X, L))))
+    columns = tuple(zip(*count_vectors(len(X), L)))
 
-    def flatten(outer: Multiset) -> int:
-        return rank[tuple(sum(map(operator.mul, outer.counts, column)) for column in columns)]
+    def flatten(outer: tuple[int, ...]) -> int:
+        return rank[tuple(sum(map(operator.mul, outer, column)) for column in columns)]
 
-    return Kernel(dom, cod, PointRows(cod, tuple(map(flatten, dom))))
+    return Kernel(dom, cod, PointRows(cod, tuple(map(flatten, count_vectors(len(ML), K)))))

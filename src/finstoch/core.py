@@ -39,6 +39,7 @@ from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 Label = Hashable
 
 ZERO = Fraction(0)
+ONE = Fraction(1)
 
 # The carrier ceiling of the law grid and of every CLI command.
 DEFAULT_CARRIER_LIMIT = 20000
@@ -162,22 +163,49 @@ class FinSet(Frozen):
     Labels are atoms (strings), pairs (product elements), tuples (power
     elements), :class:`Tagged` values (coproduct elements), or multisets
     over another FinSet.  The element order is part of the identity of
-    the object: two FinSets are equal iff their element tuples are.
+    the object: two FinSets are equal iff their element tuples are.  A
+    counted carrier (:meth:`counted`) knows its size without a list and
+    lists its labels on first read.
     """
 
     elements: tuple[Label, ...]
 
     def __init__(self, elements: tuple[Label, ...]) -> None:
         object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "_size", len(elements))
         _guard_size(len(elements))
         if len(set(elements)) != len(elements):
             raise ValueError("FinSet labels must be distinct")
 
+    @classmethod
+    def counted(cls, size: int, build: Callable[[], tuple[Label, ...]]) -> FinSet:
+        """A carrier of ``size`` labels, distinct by construction, that ``build()`` lists on first read.
+
+        Its size is checked against the ceiling now; its labels are listed
+        once, by whichever of ``elements``, ``index``, iteration, ``==``
+        against another carrier or ``hash`` comes first, and the carrier
+        then lets go of ``build`` and of all it holds.
+        """
+        _guard_size(size)
+        s = object.__new__(cls)
+        vars(s).update(_size=size, _build=build)
+        return s
+
+    @cached_property
+    def elements(self) -> tuple[Label, ...]:
+        # reached only by a counted carrier not yet listed; threads that list it at once each build it, one is kept
+        held = vars(self)
+        build = held.get("_build")
+        if build is not None:
+            held["elements"] = build()
+            held.pop("_build", None)
+        return held["elements"]
+
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        # identity first: a carrier compared with itself must not walk its labels
-        return self.elements is other.elements or self.elements == other.elements
+        # identity first: a carrier compared with itself must not list or walk its labels
+        return self is other or self.elements is other.elements or self.elements == other.elements
 
     @cached_property
     def index(self) -> dict[Label, int]:
@@ -191,7 +219,7 @@ class FinSet(Frozen):
         return self._hash
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return self._size
 
     def __iter__(self) -> Iterator[Label]:
         return iter(self.elements)
@@ -224,14 +252,13 @@ def number_finset(n: int) -> FinSet:
 
 @cache
 def tensor_finset(X: FinSet, Y: FinSet) -> FinSet:
-    """Product carrier, row-major: (x, y) pairs with x major."""
-    _guard_size(len(X) * len(Y))
-    return FinSet(tuple(itertools.product(X.elements, Y.elements)))
+    """Product carrier, row-major: (x, y) pairs with x major; counted, so listed on first read."""
+    return FinSet.counted(len(X) * len(Y), lambda: tuple(itertools.product(X.elements, Y.elements)))
 
 
 @cache
 def power_finset(X: FinSet, K: int) -> FinSet:
-    """K-fold power; X^0 is the unit, X^1 is X itself, X^K is K-tuples."""
+    """K-fold power; X^0 is the unit, X^1 is X itself, X^K is K-tuples, counted, so listed on first read."""
     if K < 0:
         raise ValueError("power exponent must be nonnegative")
     if K == 0:
@@ -239,8 +266,7 @@ def power_finset(X: FinSet, K: int) -> FinSet:
     if K == 1:
         return X
     _guard_length(K)
-    _guard_size(len(X) ** K)
-    return FinSet(tuple(itertools.product(X.elements, repeat=K)))
+    return FinSet.counted(len(X) ** K, lambda: tuple(itertools.product(X.elements, repeat=K)))
 
 
 @cache
@@ -320,6 +346,8 @@ class Dist(Frozen):
 
     @cached_property
     def items(self) -> tuple[tuple[Label, Fraction], ...]:
+        if self.den == 1 and self.nums == (1,):  # a point mass: every one shares its weight
+            return ((self.carrier.elements[self.indices[0]], ONE),)
         # one Fraction per distinct numerator: they are immutable, so entries share them
         weights = {n: Fraction(n, self.den) for n in set(self.nums)}
         return tuple(zip(map(self.carrier.elements.__getitem__, self.indices), map(weights.__getitem__, self.nums)))
@@ -399,16 +427,22 @@ def make_dist(carrier: FinSet, weights: Mapping[Label, Fraction | int]) -> Dist:
 
 
 def frequency_kernel(
-    domain: FinSet, codomain: FinSet, counts: Callable[[Label], Iterable[tuple[Label, int]]]
+    domain: FinSet, codomain: FinSet, counts: Callable[[int], Iterable[tuple[int, int]]]
 ) -> Kernel:
-    """x |-> the relative frequencies of the nonempty bag ``counts(x)`` of (outcome, count > 0); repeats add up.
+    """Row i is the relative frequencies of the nonempty bag ``counts(i)`` of (codomain position, count > 0).
 
-    Each row is built when it is first read, so ``counts(x)`` runs only for the rows read, once each.
+    Bags name the domain element and the outcomes by their carrier
+    positions, so neither carrier is listed to build a row; repeats add
+    up, and a position outside the codomain raises ``ValueError``. Each
+    row is built when it is first read, so ``counts(i)`` runs only for
+    the rows read, once each.
     """
-    index, labels = codomain.index, domain.elements
+    n = len(codomain)
 
     def row(i: int) -> Dist:
-        indices, nums = _tally((index[y], c) for y, c in counts(labels[i]))
+        indices, nums = _tally(counts(i))
+        if indices and (indices[0] < 0 or indices[-1] >= n):
+            raise ValueError(f"bag position outside range({n})")
         return _row(codomain, indices, nums, sum(nums))
 
     return Kernel(domain, codomain, LazyRows(len(domain), row))
@@ -711,7 +745,10 @@ def copy_kernel(X: FinSet, K: int) -> Kernel:
     """The K-fold copier x |-> (x, ..., x); K = 0 is the discard map."""
     if K < 0:
         raise ValueError("copy arity must be nonnegative")
-    return kernel_from_function(X, power_finset(X, K), lambda x: untuple(K, (x,) * K))
+    P = power_finset(X, K)
+    # the word x...x of the i-th element of X has the digit i at each of the K places
+    repunit = sum(len(X) ** j for j in range(K))
+    return index_map_kernel(X, P, lambda i: i * repunit)
 
 
 def discard_kernel(X: FinSet) -> Kernel:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import reduce
 
 from .core import (
     Dist,
@@ -79,10 +80,16 @@ def hypergeometric_kernel(X: FinSet, L: int, K: int) -> Kernel:
 
 @cache
 def hypergeometric_chain_kernel(X: FinSet, L: int, K: int) -> Kernel:
-    """The same map as repeated draw-and-delete, L - K single draws."""
+    """The same map as repeated draw-and-delete, L - K single draws.
+
+    Composed from the draw end, dd_K . (dd_(K+1) . ...) taken as
+    ((dd_K . dd_(K+1)) . ...): the same composite by associativity, and
+    every kernel composed on the way has its rows over M[K](X), not over
+    the larger M[L-1](X), ..., M[K+1](X).
+    """
     if L < K:
         raise ValueError("cannot draw more than the urn holds (need L >= K)")
-    k = identity_kernel(multiset_space(X, L))
-    for size in range(L - 1, K - 1, -1):
-        k = kernel_compose(dd_kernel(X, size), k)
-    return k
+    urns = multiset_space(X, L)  # built first, so an oversized urn is refused before any draw is built
+    if L == K:
+        return identity_kernel(urns)
+    return reduce(kernel_compose, (dd_kernel(X, size) for size in range(K, L)))

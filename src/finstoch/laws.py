@@ -129,7 +129,7 @@ def make_kernel(kind: str, dom: FinSet, cod: FinSet) -> Kernel:
         return reindex_kernel(dom, cod)
     if kind == "const":
         # one fully supported row with pairwise distinct weights 1 : 2 : ... : |cod|
-        return frequency_kernel(dom, cod, lambda x: zip(cod, range(1, len(cod) + 1)))
+        return frequency_kernel(dom, cod, lambda i: enumerate(range(1, len(cod) + 1)))
     if kind == "collapse":
         return kernel_from_function(dom, cod, lambda x: cod.elements[min(dom.index[x], len(cod) - 1)])
     if kind == "generic":
@@ -139,7 +139,7 @@ def make_kernel(kind: str, dom: FinSet, cod: FinSet) -> Kernel:
         primes = (2, 3, 5, 7, 11, 13)
         if len(dom) > len(primes):
             raise ValueError("generic kernels are only generated for small domains")
-        return frequency_kernel(dom, cod, lambda x: zip(cod, (primes[dom.index[x]] ** j for j in range(len(cod)))))
+        return frequency_kernel(dom, cod, lambda i: enumerate(primes[i] ** j for j in range(len(cod))))
     raise ValueError(f"unknown kernel kind {kind!r}")
 
 

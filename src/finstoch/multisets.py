@@ -1,9 +1,12 @@
 """Fixed-size multisets as concrete quotients of tuple powers.
 
-``M[K](X)`` is materialised as a carrier of count vectors over the base
-set, enumerated in ascending order of their canonical representative
-words (equivalently: count vectors in descending lexicographic order,
-so multisets concentrated on earlier base elements come first).
+``M[K](X)`` is a carrier of count vectors over the base set,
+enumerated in ascending order of their canonical representative words
+(equivalently: count vectors in descending lexicographic order, so
+multisets concentrated on earlier base elements come first).  The
+carrier is counted: the builders read the count vectors of
+:func:`count_vectors`, and the :class:`Multiset` labels are built only
+when the carrier itself is read.
 
 The accumulation map ``acc`` sends a tuple to its count vector; every
 map *out of* the quotient is built by sending each multiset through its
@@ -13,13 +16,15 @@ find the position of a count vector through :func:`multiset_index`.
 
 arr, Flrn, coordinate sampling, uniform deletion and DD are relative
 frequencies of bags (``core.frequency_kernel``): no builder computes
-weights.  arr is the relative frequency of its ``acc`` fibre, the words
-with the multiset's count vector.
+weights, and their bags name carrier positions.  arr is the relative
+frequency of its ``acc`` fibre, the words with the multiset's count
+vector.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from typing import Iterator, Sequence
@@ -101,26 +106,6 @@ def acc_of_seq(X: FinSet, seq: Sequence[Label]) -> Multiset:
     return Multiset(X, tuple(counts))
 
 
-def _count_vectors(n: int, K: int) -> Iterator[tuple[int, ...]]:
-    # Descending lexicographic order, so representative words come out in
-    # ascending lexicographic order over the base.
-    if n == 0:
-        if K == 0:
-            yield ()
-        return
-    v = [K] + [0] * (n - 1)
-    while True:
-        yield tuple(v)
-        i = n - 2
-        while i >= 0 and v[i] == 0:
-            i -= 1
-        if i < 0:
-            return
-        # the last nonzero v[i] before the final coordinate gives one unit
-        # to v[i + 1], which also takes over the final coordinate
-        v[i], v[-1], v[i + 1] = v[i] - 1, 0, v[-1] + 1
-
-
 def multichoose(n: int, K: int) -> int:
     """The number of size-K multisets over an n-element set: C(n+K-1, K)."""
     if n < 0 or K < 0:
@@ -131,13 +116,41 @@ def multichoose(n: int, K: int) -> int:
 
 
 @cache
+def count_vectors(n: int, K: int) -> tuple[tuple[int, ...], ...]:
+    """The count vectors of M[K] over an n-element base, in carrier order, checked against the ceiling before any is built.
+
+    Descending lexicographic order, so representative words come out in
+    ascending lexicographic order over the base.
+    """
+    _guard_length(K)
+    _guard_size(multichoose(n, K))
+    if n == 0:
+        return ((),) if K == 0 else ()
+    out = []
+    v = [K] + [0] * (n - 1)
+    while True:
+        out.append(tuple(v))
+        i = n - 2
+        while i >= 0 and v[i] == 0:
+            i -= 1
+        if i < 0:
+            return tuple(out)
+        # the last nonzero v[i] before the final coordinate gives one unit
+        # to v[i + 1], which also takes over the final coordinate
+        v[i], v[-1], v[i + 1] = v[i] - 1, 0, v[-1] + 1
+
+
+@cache
 def multiset_space(X: FinSet, K: int) -> FinSet:
-    """The carrier M[K](X): all size-K multisets over X; M[0](X) is a singleton, M[K](0) empty for K > 0."""
+    """The carrier M[K](X): all size-K multisets over X; M[0](X) is a singleton, M[K](0) empty for K > 0.
+
+    Counted: its multisets are built on first read, from :func:`count_vectors`.
+    """
     if K < 0:
         raise ValueError("multiset size must be nonnegative")
     _guard_length(K)
-    _guard_size(multichoose(len(X), K))
-    return FinSet(tuple(Multiset(X, v) for v in _count_vectors(len(X), K)))
+    n = len(X)
+    return FinSet.counted(multichoose(n, K), lambda: tuple(Multiset(X, v) for v in count_vectors(n, K)))
 
 
 _multiset_space_cached = multiset_space  # the name perfbench's tracer reads the counters under
@@ -146,7 +159,7 @@ _multiset_space_cached = multiset_space  # the name perfbench's tracer reads the
 @cache
 def multiset_index(X: FinSet, K: int) -> dict[tuple[int, ...], int]:
     """Each count vector's position in M[K](X), as one shared dict: the one place a count vector becomes a position."""
-    return {m.counts: i for i, m in enumerate(multiset_space(X, K))}
+    return {v: i for i, v in enumerate(count_vectors(len(X), K))}
 
 
 def _word_counts(n: int, K: int) -> list[tuple[int, ...]]:
@@ -172,10 +185,21 @@ def acc_kernel(X: FinSet, K: int) -> Kernel:
     return Kernel(P, M, PointRows(M, tuple(map(rank.__getitem__, _word_counts(len(X), K)))))
 
 
+def _word_position(v: tuple[int, ...], n: int) -> int:
+    """The position in X^K, |X| = n, of the representative word of the count vector v."""
+    position = 0
+    for j, c in enumerate(v):
+        for _ in range(c):
+            position = position * n + j
+    return position
+
+
 @cache
 def section_kernel(X: FinSet, K: int) -> Kernel:
     """The canonical section M[K](X) -> X^K picking the representative word."""
-    return kernel_from_function(multiset_space(X, K), power_finset(X, K), lambda m: untuple(K, m.word()))
+    M, P = multiset_space(X, K), power_finset(X, K)
+    n = len(X)
+    return Kernel(M, P, PointRows(P, tuple(_word_position(v, n) for v in count_vectors(n, K))))
 
 
 @cache
@@ -183,11 +207,11 @@ def arr_kernel(X: FinSet, K: int) -> Kernel:
     """Arrangement: each multiset goes uniformly to the words of its acc fibre."""
     P = power_finset(X, K)  # built first, so an oversized query names the power
     M = multiset_space(X, K)
-    fibres: dict[tuple[int, ...], list[int]] = {m.counts: [] for m in M}
-    for i, counts in enumerate(_word_counts(len(X), K)):
-        fibres[counts].append(i)
-    words = P.elements
-    return frequency_kernel(M, P, lambda m: ((words[i], 1) for i in fibres[m.counts]))
+    rank = multiset_index(X, K)
+    fibres: list[list[int]] = [[] for _ in range(len(M))]
+    for w, counts in enumerate(_word_counts(len(X), K)):
+        fibres[rank[counts]].append(w)
+    return frequency_kernel(M, P, lambda i: zip(fibres[i], itertools.repeat(1)))
 
 
 @cache
@@ -209,7 +233,15 @@ def epsilon_kernel(X: FinSet, K: int) -> Kernel:
     """Pick one coordinate uniformly; defined for K >= 1."""
     if K < 1:
         raise ValueError("coordinate sampling needs K >= 1")
-    return frequency_kernel(power_finset(X, K), X, lambda t: ((c, 1) for c in tuple_of(K, t)))
+    n = len(X)
+
+    def letters(i: int) -> Iterator[tuple[int, int]]:
+        # the K base-n digits of a word's position are its letters
+        for _ in range(K):
+            i, letter = divmod(i, n)
+            yield letter, 1
+
+    return frequency_kernel(power_finset(X, K), X, letters)
 
 
 @cache
@@ -217,7 +249,9 @@ def flrn_kernel(X: FinSet, K: int) -> Kernel:
     """Frequentist learning: normalise a multiset to its relative frequencies."""
     if K < 1:
         raise ValueError("frequency normalisation needs K >= 1")
-    return frequency_kernel(multiset_space(X, K), X, Multiset.items)
+    M = multiset_space(X, K)
+    vectors = count_vectors(len(X), K)
+    return frequency_kernel(M, X, lambda i: ((j, c) for j, c in enumerate(vectors[i]) if c))
 
 
 def drop_kernel(X: FinSet, K: int, i: int) -> Kernel:
@@ -235,24 +269,28 @@ def drop_kernel(X: FinSet, K: int, i: int) -> Kernel:
 @cache
 def del_kernel(X: FinSet, K: int) -> Kernel:
     """Delete one uniformly chosen coordinate: X^{K+1} -> X^K."""
+    P, Q = power_finset(X, K + 1), power_finset(X, K)
+    n = len(X)
+    # the place value of each of the K + 1 letters, leftmost first
+    places = [n ** (K - j) for j in range(K + 1)]
 
-    def drops(t: Label) -> Iterator[tuple[Label, int]]:
-        coords = tuple_of(K + 1, t)
-        return ((untuple(K, coords[:i] + coords[i + 1 :]), 1) for i in range(K + 1))
+    def drops(i: int) -> Iterator[tuple[int, int]]:
+        # deleting a letter keeps the digits above it, shifted down one place, and those below it
+        return ((i // (place * n) * place + i % place, 1) for place in places)
 
-    return frequency_kernel(power_finset(X, K + 1), power_finset(X, K), drops)
+    return frequency_kernel(P, Q, drops)
 
 
 @cache
 def dd_kernel(X: FinSet, K: int) -> Kernel:
     """Draw-and-delete: remove one uniformly drawn element from a size-K+1 urn."""
     Min, Mout = multiset_space(X, K + 1), multiset_space(X, K)
-    rank, urns = multiset_index(X, K), Mout.elements
+    urns, rank = count_vectors(len(X), K + 1), multiset_index(X, K)
 
-    def draws(m: Multiset) -> Iterator[tuple[Multiset, int]]:
-        # drawing colour i, held c times, leaves the count vector with one fewer i
-        v = m.counts
-        return ((urns[rank[v[:i] + (c - 1,) + v[i + 1 :]]], c) for i, c in enumerate(v) if c)
+    def draws(i: int) -> Iterator[tuple[int, int]]:
+        # drawing colour j, held c times, leaves the count vector with one fewer j
+        v = urns[i]
+        return ((rank[v[:j] + (c - 1,) + v[j + 1 :]], c) for j, c in enumerate(v) if c)
 
     return frequency_kernel(Min, Mout, draws)
 

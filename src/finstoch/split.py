@@ -29,7 +29,7 @@ from .core import (
     tuple_of,
     untuple,
 )
-from .multisets import Multiset, acc_of_seq, multiset_index, multiset_space
+from .multisets import acc_of_seq, count_vectors, multiset_index, multiset_space
 
 
 @cache
@@ -115,19 +115,20 @@ def msplit_kernel(X: FinSet, Y: FinSet, K: int) -> Kernel:
 
     The X part's size picks the block, whose pairs are row-major.
     """
-    dom = multiset_space(coproduct_finset((X, Y)), K)
+    XY = coproduct_finset((X, Y))
+    dom = multiset_space(XY, K)
     cod = msplit_space(X, Y, K)
     n = len(X)
     ranks = [(multiset_index(X, i), multiset_index(Y, K - i)) for i in range(K + 1)]
     starts = tuple(itertools.accumulate((len(rx) * len(ry) for rx, ry in ranks), initial=0))
 
-    def split(m: Multiset) -> int:
-        xs = m.counts[:n]
+    def split(v: tuple[int, ...]) -> int:
+        xs = v[:n]
         i = sum(xs)
         rx, ry = ranks[i]
-        return starts[i] + rx[xs] * len(ry) + ry[m.counts[n:]]
+        return starts[i] + rx[xs] * len(ry) + ry[v[n:]]
 
-    return Kernel(dom, cod, PointRows(cod, tuple(map(split, dom))))
+    return Kernel(dom, cod, PointRows(cod, tuple(map(split, count_vectors(len(XY), K)))))
 
 
 @cache

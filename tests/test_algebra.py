@@ -32,7 +32,8 @@ from finstoch import (
     tensor_finset,
     zip_iso,
 )
-from finstoch.core import Permutation, tuple_of, untuple
+from finstoch import multisets
+from finstoch.core import FinSet, Permutation, tuple_of, untuple
 
 AB = make_finset(["a", "b"])
 CD = make_finset(["c", "d"])
@@ -207,6 +208,29 @@ class TestKsumMu:
         lhs = kernel_compose(ksum_kernel(AB, K, L), kernel_power(acc_kernel(AB, L), K))
         rhs = kernel_compose(acc_kernel(AB, K * L), stack_iso(AB, K, L))
         assert kernel_equal(lhs, rhs)
+
+    def test_mu_lists_no_outer_multiset(self, monkeypatch):
+        listed, outer = [], []
+        counted, built = FinSet.counted.__func__, multisets.Multiset.__init__
+
+        def listing(cls, size, build):
+            return counted(cls, size, lambda: listed.append(size) or build())
+
+        def recorded(self, base, counts):
+            built(self, base, counts)
+            if len(base) == 15:
+                outer.append(self)
+
+        monkeypatch.setattr(FinSet, "counted", classmethod(listing))
+        monkeypatch.setattr(multisets.Multiset, "__init__", recorded)
+        X = make_finset(["mu-a", "mu-b", "mu-c"])  # labels no other test builds, so no cache hit
+        k = mu_kernel(X, 4, 4)
+        assert len(k.domain) == 3060 and len(k.codomain) == 153
+        assert sum(len(row.items) for row in k.rows) == 3060
+        assert 3060 not in listed and outer == []
+        assert 153 in listed  # the codomain, whose labels the rows read
+        assert len(k.domain.elements) == 3060  # reading the domain lists it, where both patches see it
+        assert 3060 in listed and len(outer) == 3060
 
     def test_determinism(self):
         assert is_deterministic(msum_kernel(AB, 1, 2))

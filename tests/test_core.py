@@ -128,6 +128,88 @@ class TestFinSet:
         assert power_finset(AB, 2).elements == (("a", "a"), ("a", "b"), ("b", "a"), ("b", "b"))
 
 
+class TestCountedCarriers:
+    """Powers, tensors and multiset spaces know their size without a list, and list their labels once."""
+
+    @pytest.mark.parametrize("n", range(4))
+    @pytest.mark.parametrize("K", range(4))
+    def test_counted_carriers_match_their_listed_twins(self, n, K):
+        X, Y = make_finset("abc"[:n]), make_finset("pq")
+        for c in (power_finset(X, K), tensor_finset(X, power_finset(Y, K)), multiset_space(X, K)):
+            twin = FinSet(tuple(c.elements))
+            assert len(c) == len(twin) == len(c.elements)
+            assert c.elements == twin.elements
+            assert c.index == twin.index
+            assert c == twin and twin == c
+            assert hash(c) == hash(twin)
+
+    def test_power_and_tensor_agree_element_wise(self):
+        X = make_finset(["counted-a", "counted-b"])  # labels no other test builds, so neither is listed yet
+        square, pairs = power_finset(X, 2), tensor_finset(X, X)
+        assert square is not pairs
+        assert square == pairs and hash(square) == hash(pairs)
+
+    def test_size_without_a_list_and_labels_listed_once(self):
+        calls = []
+
+        def build():
+            calls.append(1)
+            return ("p", "q", "r")
+
+        c = FinSet.counted(3, build)
+        assert len(c) == 3 and c == c and calls == []
+        assert c.elements == ("p", "q", "r")
+        assert list(c) == ["p", "q", "r"] and "q" in c and c.index["r"] == 2
+        assert c == make_finset("pqr") and hash(c) == hash(make_finset("pqr"))
+        assert calls == [1]
+
+    def test_builder_let_go_once_listed(self):
+        held = Holder()
+        alive = weakref.ref(held)
+        c = FinSet.counted(1, lambda held=held: ("only",))
+        del held
+        assert alive() is not None
+        assert c.elements == ("only",)
+        assert alive() is None
+
+    def test_labels_listed_from_threads_are_the_listed_labels(self):
+        expected = tuple(itertools.product("abc", repeat=4))
+
+        def build():
+            time.sleep(0)  # let another thread in while the labels are listed
+            return tuple(itertools.product("abc", repeat=4))
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                c, seen = FinSet.counted(81, build), []
+
+                def read():
+                    seen.append((c.elements, c.index[("c", "c", "c", "c")], hash(c)))
+
+                threads = [threading.Thread(target=read) for _ in range(6)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=10)
+                assert not any(t.is_alive() for t in threads)
+                assert seen == [(expected, 80, hash(FinSet(expected)))] * 6
+                assert c.elements == expected and "_build" not in vars(c)
+        finally:
+            sys.setswitchinterval(switch)
+
+    def test_counted_carrier_checked_against_the_ceiling_when_made(self):
+        with carrier_limit(10):
+            with pytest.raises(CarrierTooLarge):
+                FinSet.counted(11, lambda: pytest.fail("a refused carrier must not be listed"))
+            with pytest.raises(CarrierTooLarge):
+                power_finset(ABC, 3)
+            with pytest.raises(CarrierTooLarge):
+                tensor_finset(ABC, power_finset(AB, 2))
+            assert len(FinSet.counted(10, lambda: pytest.fail("not read"))) == 10
+
+
 class TestDist:
     def test_dirac(self):
         d = dirac(AB, "a")
@@ -226,15 +308,20 @@ class TestCanonicalRow:
     def test_frequency_rows_are_relative_frequencies(self, data):
         dom = make_finset("pqr"[: data.draw(st.integers(0, 3))])
         cod = make_finset("abcd"[: data.draw(st.integers(1, 4))])
-        counts = st.tuples(st.sampled_from(cod.elements), st.integers(1, 6))
-        bag_of = {x: data.draw(st.lists(counts, min_size=1, max_size=8)) for x in dom}
-        k = frequency_kernel(dom, cod, lambda x: iter(bag_of[x]))
+        counts = st.tuples(st.integers(0, len(cod) - 1), st.integers(1, 6))
+        bag_of = [data.draw(st.lists(counts, min_size=1, max_size=8)) for _ in dom]
+        k = frequency_kernel(dom, cod, lambda i: iter(bag_of[i]))
         assert k.domain == dom and k.codomain == cod
-        for x in dom:
-            total = sum(c for _, c in bag_of[x])
-            expected = Dist(cod, [(y, F(c, total)) for y, c in bag_of[x]])
+        for i, x in enumerate(dom):
+            total = sum(c for _, c in bag_of[i])
+            expected = Dist(cod, [(cod.elements[y], F(c, total)) for y, c in bag_of[i]])
             assert k.row(x) == expected
             assert_canonical(k.row(x), expected.items)
+
+    def test_point_masses_share_one_weight(self):
+        a, b = dirac(AB, "a"), dirac(ABC, "c")
+        assert a.items == (("a", 1),) and b.items == (("c", 1),)
+        assert a.items[0][1] is b.items[0][1]
 
     def test_unchecked_rows_keep_their_items(self):
         two = (("a", F(3, 2)), ("b", F(1, 2)))
@@ -485,9 +572,9 @@ class TestFrequencyRowsOnFirstUse:
         real = multisets.frequency_kernel
 
         def counted(domain, codomain, counts):
-            def bag(x):
-                calls.append(x)
-                return counts(x)
+            def bag(i):
+                calls.append(i)
+                return counts(i)
 
             return real(domain, codomain, bag)
 
@@ -498,7 +585,7 @@ class TestFrequencyRowsOnFirstUse:
         assert calls == []
         assert k.row(urn) == make_dist(X, {"lazy-r": F(2, 5), "lazy-b": F(3, 5)})
         assert k.row(urn) is k.row(urn)
-        assert calls == [urn]
+        assert calls == [multiset_space(X, 5).index[urn]]
 
     @pytest.mark.parametrize("n, K", [(1, 1), (2, 3), (3, 4)])
     def test_lazy_kernel_equals_its_eager_twin(self, n, K):
@@ -512,7 +599,7 @@ class TestFrequencyRowsOnFirstUse:
     def test_bag_let_go_once_every_row_is_read(self):
         held = Holder()
         alive = weakref.ref(held)
-        k = frequency_kernel(ABC, AB, lambda x, held=held: [("a", 1), ("b", 2)])
+        k = frequency_kernel(ABC, AB, lambda i, held=held: [(0, 1), (1, 2)])
         del held
         k.row("c")
         k.row("a")
@@ -524,11 +611,11 @@ class TestFrequencyRowsOnFirstUse:
     def test_rows_read_from_threads_are_the_eager_rows(self):
         P = power_finset(ABC, 3)
 
-        def bag(t):
+        def bag(i):
             time.sleep(0)  # let another thread in while the row is built
-            return [(c, i + 1) for i, c in enumerate(t)]
+            return [(ABC.index[c], j + 1) for j, c in enumerate(P.elements[i])]
 
-        eager = tuple(Dist(ABC, [(c, F(n, 6)) for c, n in bag(t)]) for t in P)
+        eager = tuple(Dist(ABC, [(ABC.elements[c], F(n, 6)) for c, n in bag(i)]) for i in range(len(P)))
         n = len(P)
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -553,10 +640,17 @@ class TestFrequencyRowsOnFirstUse:
             sys.setswitchinterval(switch)
 
     def test_label_outside_the_codomain_raises_when_read(self):
-        k = frequency_kernel(AB, ABC, lambda x: [("a", 1), ("z", 1)] if x == "b" else [("a", 1)])
+        k = frequency_kernel(AB, ABC, lambda i: [(0, 1), (3, 1)] if i == 1 else [(0, 1)])
         assert k.row("a") == dirac(ABC, "a")
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError):
             k.row("b")
+
+    def test_negative_position_raises_when_read(self):
+        # a negative position would index the codomain from its end
+        k = frequency_kernel(AB, ABC, lambda i: [(-1, 1), (0, 1)] if i == 0 else [(2, 1)])
+        assert k.row("b") == dirac(ABC, "c")
+        with pytest.raises(ValueError):
+            k.row("a")
 
 
 class TestLazyRows:
@@ -777,6 +871,13 @@ class TestCopyDiscardProject:
         assert kernel_equal(projection_kernel(AB, 1, 1), identity_kernel(AB))
         with pytest.raises(ValueError):
             projection_kernel(AB, 2, 3)
+
+    @pytest.mark.parametrize("n", range(4))
+    @pytest.mark.parametrize("K", range(4))
+    def test_copy_matches_the_copier_on_labels(self, n, K):
+        X = make_finset("abc"[:n])
+        labelled = kernel_from_function(X, power_finset(X, K), lambda x: untuple(K, (x,) * K))
+        assert copy_kernel(X, K) == labelled
 
     def test_proj_after_copy_is_identity(self):
         k = kernel_compose(projection_kernel(AB, 2, 1), copy_kernel(AB, 2))

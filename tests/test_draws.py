@@ -12,10 +12,12 @@ from finstoch import (
     acc_of_seq,
     arr_kernel,
     constant_kernel,
+    dd_kernel,
     dirac,
     hypergeometric_chain_kernel,
     hypergeometric_kernel,
     identity_kernel,
+    kernel_compose,
     kernel_equal,
     make_dist,
     make_finset,
@@ -144,6 +146,16 @@ class TestHypergeometric:
                 assert kernel_equal(
                     hypergeometric_kernel(AB, L, K), hypergeometric_chain_kernel(AB, L, K)
                 )
+
+    @pytest.mark.parametrize("n", range(1, 4))
+    def test_chain_equals_the_fold_from_the_urn(self, n):
+        X = make_finset("abc"[:n])
+        for L in range(7):
+            for K in range(L + 1):
+                fold = identity_kernel(multiset_space(X, L))
+                for size in range(L - 1, K - 1, -1):
+                    fold = kernel_compose(dd_kernel(X, size), fold)
+                assert hypergeometric_chain_kernel(X, L, K) == fold
 
     def test_pure_urn(self):
         hg = hypergeometric_kernel(make_finset(["a"]), 3, 2)

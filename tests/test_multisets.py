@@ -35,7 +35,8 @@ from finstoch import (
     reindex_kernel,
     section_kernel,
 )
-from finstoch.core import Dist, Kernel, tuple_of, untuple
+from finstoch.core import CarrierTooLarge, Dist, Kernel, carrier_limit, kernel_from_function, tuple_of, untuple
+from finstoch.multisets import count_vectors, multiset_index
 
 AB = make_finset(["a", "b"])
 ABC = make_finset(["a", "b", "c"])
@@ -87,6 +88,49 @@ class TestSpaces:
         BA = make_finset(["b", "a"])
         assert Multiset(AB, (1, 1)) != Multiset(BA, (1, 1))
         assert len({Multiset(AB, (1, 1)), Multiset(BA, (1, 1)), Multiset(AB, (1, 1))}) == 2
+
+
+    def test_enumeration_refused_before_it_starts(self):
+        # M[400] over 4 colours has 10,827,401 count vectors; listing them would take minutes
+        X = make_finset(["big-a", "big-b", "big-c", "big-d"])
+        with carrier_limit(20000):
+            with pytest.raises(CarrierTooLarge):
+                count_vectors(4, 400)
+            with pytest.raises(CarrierTooLarge):
+                multiset_index(X, 400)
+            with pytest.raises(CarrierTooLarge):
+                count_vectors(1, 20001)  # one vector, but longer than the ceiling
+
+    def test_count_vectors_are_the_carrier_order(self):
+        for n in range(4):
+            X = make_finset("abc"[:n])
+            for K in range(5):
+                assert count_vectors(n, K) == tuple(m.counts for m in multiset_space(X, K))
+                assert multiset_index(X, K) == {m.counts: i for i, m in enumerate(multiset_space(X, K))}
+
+
+class TestBagsOnPositions:
+    """The builders that name outcomes by carrier position equal their definitions on labels."""
+
+    @pytest.mark.parametrize("n", range(4))
+    @pytest.mark.parametrize("K", range(4))
+    def test_builders_match_their_label_definitions(self, n, K):
+        X = make_finset("abc"[:n])
+        P, M = power_finset(X, K), multiset_space(X, K)
+        P1, M1 = power_finset(X, K + 1), multiset_space(X, K + 1)
+        assert section_kernel(X, K) == kernel_from_function(M, P, lambda m: untuple(K, m.word()))
+        dropped = Kernel(P1, P, tuple(
+            Dist(P, [(untuple(K, w[:i] + w[i + 1 :]), F(1, K + 1)) for i in range(K + 1)])
+            for w in map(lambda t: tuple_of(K + 1, t), P1)
+        ))
+        assert del_kernel(X, K) == dropped
+        drawn = Kernel(M1, M, tuple(Dist(M, [(m.minus(x), F(c, K + 1)) for x, c in m.items()]) for m in M1))
+        assert dd_kernel(X, K) == drawn
+        if K >= 1:
+            coordinates = Kernel(P, X, tuple(Dist(X, [(c, F(1, K)) for c in tuple_of(K, t)]) for t in P))
+            assert epsilon_kernel(X, K) == coordinates
+            frequencies = Kernel(M, X, tuple(Dist(X, [(x, F(c, K)) for x, c in m.items()]) for m in M))
+            assert flrn_kernel(X, K) == frequencies
 
 
 class TestAccOfSeq:
