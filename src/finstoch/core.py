@@ -8,7 +8,8 @@ matrix product.  A row is held as carrier indices with ``int``
 numerators over one ``int`` denominator, so composition, tensor, power
 and convex sums run on integers keyed by index and every equality test
 in the suite is exact; labels and :class:`fractions.Fraction` weights
-appear only where rows are built from or read as (label, weight) pairs.
+appear only where rows are built from or read as (label, weight) pairs,
+and in :func:`kernel_from_function`, kept for :mod:`finstoch.split`.
 The uniform draws are relative frequencies of bags of outcomes
 (:func:`frequency_kernel`): their builders compute no weights.
 
@@ -17,7 +18,9 @@ Canonical orders are fixed once and for all:
 * products ``X (x) Y`` are row-major (``x`` major, ``y`` minor),
 * coproducts ``X + Y`` list the ``X`` block before the ``Y`` block,
 * powers ``X^K`` are mixed-radix tuples, leftmost position most
-  significant (so ``X^2`` and ``X (x) X`` coincide element for element).
+  significant (so ``X^2`` and ``X (x) X`` coincide element for element);
+  :func:`word_letters` and :func:`word_position` are the one codec
+  between a word's position and its letters' positions.
 
 With these conventions, equalities that are usually stated "up to
 isomorphism" become literal kernel equalities, possibly after composing
@@ -271,9 +274,24 @@ def power_finset(X: FinSet, K: int) -> FinSet:
 
 @cache
 def coproduct_finset(parts: tuple[FinSet, ...]) -> FinSet:
-    """Coproduct carrier: tagged elements, block i listed before block i+1."""
-    _guard_size(sum(len(p) for p in parts))
-    return FinSet(tuple(Tagged(i, x) for i, part in enumerate(parts) for x in part))
+    """Coproduct carrier: tagged elements, block i listed before block i+1; counted, so listed on first read."""
+    return FinSet.counted(sum(map(len, parts)), lambda: tuple(Tagged(i, x) for i, p in enumerate(parts) for x in p))
+
+
+def word_letters(i: int, n: int, K: int) -> tuple[int, ...]:
+    """The K letters, leftmost first, of the i-th word of X^K with |X| = n: the base-n digits of i."""
+    letters = [0] * K
+    for j in range(K - 1, -1, -1):
+        i, letters[j] = divmod(i, n)
+    return tuple(letters)
+
+
+def word_position(letters: Iterable[int], n: int) -> int:
+    """The position in X^K, |X| = n, of the word with these letters, leftmost first; inverse to :func:`word_letters`."""
+    position = 0
+    for letter in letters:
+        position = position * n + letter
+    return position
 
 
 def tuple_of(K: int, x: Label) -> tuple[Label, ...]:
@@ -555,8 +573,8 @@ class LazyRows:
             finally:
                 _VALIDATE_WEIGHTS.reset(token)
             self._unbuilt -= 1
-            # threads that build one row at once each count it, so the count alone is not proof
-            if self._unbuilt <= 0 and None not in self._rows:
+            # a row two threads build at once counts twice; a scan by identity, calling no __eq__, is proof
+            if self._unbuilt <= 0 and all(r is not None for r in self._rows):
                 self._build = None
         return row
 
@@ -707,11 +725,7 @@ def kernel_power(f: Kernel, K: int) -> Kernel:
         return Kernel(dom, cod, PointRows(cod, tuple(_radix((f.rows.targets,) * K, n))))
 
     def row(i: int) -> Dist:
-        picked = []
-        for _ in range(K):
-            i, x = divmod(i, m)
-            picked.append(f.rows[x])
-        return _product(cod, picked[::-1], n)
+        return _product(cod, [f.rows[x] for x in word_letters(i, m, K)], n)
 
     return Kernel(dom, cod, LazyRows(len(dom), row))
 
@@ -738,17 +752,15 @@ def cotuple(fs: Sequence[Kernel], codomain: FinSet | None = None) -> Kernel:
 
 def coprojection_kernel(parts: tuple[FinSet, ...], i: int) -> Kernel:
     """The i-th coprojection into the coproduct of the given parts."""
-    return kernel_from_function(parts[i], coproduct_finset(parts), lambda x: Tagged(i, x))
+    start = sum(map(len, parts[:i]))
+    return index_map_kernel(parts[i], coproduct_finset(parts), lambda x: start + x)
 
 
 def copy_kernel(X: FinSet, K: int) -> Kernel:
     """The K-fold copier x |-> (x, ..., x); K = 0 is the discard map."""
     if K < 0:
         raise ValueError("copy arity must be nonnegative")
-    P = power_finset(X, K)
-    # the word x...x of the i-th element of X has the digit i at each of the K places
-    repunit = sum(len(X) ** j for j in range(K))
-    return index_map_kernel(X, P, lambda i: i * repunit)
+    return index_map_kernel(X, power_finset(X, K), lambda i: word_position((i,) * K, len(X)))
 
 
 def discard_kernel(X: FinSet) -> Kernel:
@@ -760,14 +772,14 @@ def projection_kernel(X: FinSet, K: int, i: int) -> Kernel:
     """Project the i-th coordinate (1-indexed) out of X^K."""
     if not 1 <= i <= K:
         raise ValueError(f"projection index {i} out of range 1..{K}")
-    return kernel_from_function(power_finset(X, K), X, lambda t: tuple_of(K, t)[i - 1])
+    return index_map_kernel(power_finset(X, K), X, lambda p: word_letters(p, len(X), K)[i - 1])
 
 
 def permutation_kernel(X: FinSet, sigma: Permutation) -> Kernel:
     """The deterministic rearrangement of X^K induced by sigma."""
-    K = sigma.size
+    K, n = sigma.size, len(X)
     P = power_finset(X, K)
-    return kernel_from_function(P, P, lambda t: untuple(K, sigma.apply(tuple_of(K, t))))
+    return index_map_kernel(P, P, lambda p: word_position(sigma.apply(word_letters(p, n, K)), n))
 
 
 def index_map_kernel(X: FinSet, Y: FinSet, fn: Callable[[int], int]) -> Kernel:
@@ -786,8 +798,8 @@ def reindex_kernel(X: FinSet, Y: FinSet) -> Kernel:
 
 
 def swap_kernel(X: FinSet, Y: FinSet) -> Kernel:
-    """The symmetry (x, y) |-> (y, x)."""
-    return kernel_from_function(tensor_finset(X, Y), tensor_finset(Y, X), lambda p: (p[1], p[0]))
+    """The symmetry (x, y) |-> (y, x): the pair at x * |Y| + y goes to y * |X| + x."""
+    return index_map_kernel(tensor_finset(X, Y), tensor_finset(Y, X), lambda p: p % len(Y) * len(X) + p // len(Y))
 
 
 def convex_sum(r: Dist, fs: Sequence[Kernel]) -> Kernel:

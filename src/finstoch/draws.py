@@ -3,21 +3,21 @@
 The categorical composites (copy, run independently, accumulate;
 respectively iterate draw-and-delete) are the primary definitions and
 are what the law suite composes with.  The textbook probability mass
-functions are implemented separately as oracles; exact agreement of the
-two forms is itself a registered law.
+functions are implemented separately as oracles, with ``int`` numerators
+on the count vectors of :func:`count_vectors` over one ``int``
+denominator; exact agreement of the two forms is itself a registered law.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import reduce
 
 from .core import (
-    Dist,
     FinSet,
     Kernel,
     LazyRows,
+    _row,
     cache,
     copy_kernel,
     identity_kernel,
@@ -25,7 +25,7 @@ from .core import (
     kernel_compose_all,
     kernel_power,
 )
-from .multisets import acc_kernel, dd_kernel, multiset_space
+from .multisets import acc_kernel, count_vectors, dd_kernel, multiset_space
 
 
 @cache
@@ -35,19 +35,17 @@ def multinomial_kernel(f: Kernel, K: int) -> Kernel:
 
 
 def multinomial_pmf_kernel(f: Kernel, K: int) -> Kernel:
-    """Closed-form multinomial: P(m) = K!/prod(m_y!) * prod f(x)(y)^m_y."""
+    """Closed-form multinomial: P(m) = K!/prod(m_y!) * prod f(x)(y)^m_y, over den**K for a row over den."""
     M = multiset_space(f.codomain, K)
-    k_fact = math.factorial(K)
+    draws = count_vectors(len(f.codomain), K)
+    positions = tuple(range(len(draws)))
+    # each draw's multinomial coefficient K!/prod(m_y!), shared by every row
+    coefficients = [math.factorial(K) // math.prod(map(math.factorial, m)) for m in draws]
     rows = []
-    for x in f.domain:
-        p = f.row(x)
-        items = []
-        for m in M:
-            w = Fraction(k_fact, math.prod(math.factorial(c) for c in m.counts))
-            for y, c in m.items():
-                w *= p.weight(y) ** c
-            items.append((m, w))
-        rows.append(Dist(M, items))
+    for p in f.rows:
+        weight = dict(zip(p.indices, p.nums))
+        nums = tuple(c * math.prod(weight.get(y, 0) ** k for y, k in enumerate(m)) for c, m in zip(coefficients, draws))
+        rows.append(_row(M, positions, nums, p.den**K))
     return Kernel(f.domain, M, tuple(rows))
 
 
@@ -55,25 +53,20 @@ def multinomial_pmf_kernel(f: Kernel, K: int) -> Kernel:
 def hypergeometric_kernel(X: FinSet, L: int, K: int) -> Kernel:
     """Draw K from a size-L urn without replacement: M[L](X) -> M[K](X).
 
-    Closed form: P(m | urn) = prod_x C(urn_x, m_x) / C(L, K) for m <= urn,
-    each row built on first use.
+    Closed form: P(m | urn) = prod_x C(urn_x, m_x) / C(L, K), which is 0
+    unless m <= urn; each row is built on first use.
     The equivalent repeated draw-and-delete chain is available as
     :func:`hypergeometric_chain_kernel`; the two agree exactly.
     """
     if L < K:
         raise ValueError("cannot draw more than the urn holds (need L >= K)")
-    Min = multiset_space(X, L)
+    Min = multiset_space(X, L)  # built first, so an oversized urn is refused with the urn's size
     Mout = multiset_space(X, K)
-    denom = math.comb(L, K)
+    urns, draws = count_vectors(len(X), L), count_vectors(len(X), K)
+    positions, denom = tuple(range(len(draws))), math.comb(L, K)
 
-    def row(i: int) -> Dist:
-        urn = Min.elements[i]
-        items = []
-        for m in Mout:
-            if all(c <= u for c, u in zip(m.counts, urn.counts)):
-                num = math.prod(math.comb(u, c) for u, c in zip(urn.counts, m.counts))
-                items.append((m, Fraction(num, denom)))
-        return Dist(Mout, items)
+    def row(i: int):
+        return _row(Mout, positions, tuple(math.prod(map(math.comb, urns[i], m)) for m in draws), denom)
 
     return Kernel(Min, Mout, LazyRows(len(Min), row))
 

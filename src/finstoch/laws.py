@@ -28,7 +28,6 @@ from .core import (
     FinSet,
     Kernel,
     Permutation,
-    Tagged,
     all_permutations,
     cache,
     carrier_limit,
@@ -46,7 +45,6 @@ from .core import (
     kernel_compose,
     kernel_compose_all,
     kernel_equal,
-    kernel_from_function,
     kernel_power,
     kernel_tensor,
     make_finset,
@@ -131,7 +129,7 @@ def make_kernel(kind: str, dom: FinSet, cod: FinSet) -> Kernel:
         # one fully supported row with pairwise distinct weights 1 : 2 : ... : |cod|
         return frequency_kernel(dom, cod, lambda i: enumerate(range(1, len(cod) + 1)))
     if kind == "collapse":
-        return kernel_from_function(dom, cod, lambda x: cod.elements[min(dom.index[x], len(cod) - 1)])
+        return index_map_kernel(dom, cod, lambda j: min(j, len(cod) - 1))
     if kind == "generic":
         # geometric rows with a distinct prime ratio per row: every entry
         # of the matrix is a different fraction, so coefficient mix-ups
@@ -305,11 +303,11 @@ def _assoc_reindex(A: FinSet, B: FinSet, C: FinSet) -> Kernel:
 
 
 def _proj1(A: FinSet, B: FinSet) -> Kernel:
-    return kernel_from_function(tensor_finset(A, B), A, lambda p: p[0])
+    return index_map_kernel(tensor_finset(A, B), A, lambda p: p // len(B))
 
 
 def _proj2(A: FinSet, B: FinSet) -> Kernel:
-    return kernel_from_function(tensor_finset(A, B), B, lambda p: p[1])
+    return index_map_kernel(tensor_finset(A, B), B, lambda p: p % len(B))
 
 
 def _accs_via_codiagonal(X: FinSet, Y: FinSet, K: int) -> Kernel:
@@ -357,19 +355,17 @@ def _fractional_composite(nums: tuple[int, ...]) -> Kernel:
 
 
 def _distribute_iso(X: FinSet, n: int) -> Kernel:
-    """X (x) n -> X + ... + X, the canonical distributivity bijection."""
-    num = number_finset(n)
-    parts = tuple(X for _ in range(n))
-    dom = tensor_finset(X, num)
-    cod = coproduct_finset(parts)
-    return kernel_from_function(dom, cod, lambda p: Tagged(int(p[1]), p[0]))
+    """X (x) n -> X + ... + X, the canonical distributivity bijection: (x, k) goes to x in block k."""
+    dom = tensor_finset(X, number_finset(n))
+    cod = coproduct_finset((X,) * n)
+    return index_map_kernel(dom, cod, lambda p: p % n * len(X) + p // n)
 
 
 def _convex_sum_composite(r: Dist, fs: Sequence[Kernel]) -> Kernel:
     """The textbook composite: copy in the series, distribute, case split."""
     X = fs[0].domain
     n = len(r.carrier)
-    into_pair = kernel_from_function(X, tensor_finset(X, unit_finset()), lambda x: (x, ()))
+    into_pair = reindex_kernel(X, tensor_finset(X, unit_finset()))
     spread = kernel_tensor(identity_kernel(X), state_kernel(r))
     return kernel_compose_all(cotuple(list(fs)), _distribute_iso(X, n), spread, into_pair)
 
@@ -857,7 +853,7 @@ def sum_comm(i: Instance):
 def sum_unit(i: Instance):
     MK = multisets.multiset_space(i.X, i.K)
     M0 = multisets.multiset_space(i.X, 0)
-    pad = kernel_from_function(MK, tensor_finset(M0, MK), lambda mm: (M0.elements[0], mm))
+    pad = reindex_kernel(MK, tensor_finset(M0, MK))
     return (kernel_compose(algebra.msum_kernel(i.X, 0, i.K), pad), identity_kernel(MK))
 
 
@@ -1010,7 +1006,7 @@ def mzip_assoc(i: Instance):
 def mzip_unit(i: Instance):
     X, K = i.X, i.K
     one = unit_finset()
-    unpad = kernel_from_function(tensor_finset(X, one), X, lambda p: p[0])
+    unpad = reindex_kernel(tensor_finset(X, one), X)
     lhs = kernel_compose(multisets.mset_map(unpad, K), algebra.mzip_kernel(X, one, K))
     rhs = _proj1(multisets.multiset_space(X, K), multisets.multiset_space(one, K))
     return (lhs, rhs)

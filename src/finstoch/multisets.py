@@ -39,12 +39,12 @@ from .core import (
     _guard_size,
     cache,
     frequency_kernel,
+    index_map_kernel,
     kernel_compose_all,
-    kernel_from_function,
     kernel_power,
     power_finset,
-    tuple_of,
-    untuple,
+    word_letters,
+    word_position,
 )
 
 
@@ -185,21 +185,14 @@ def acc_kernel(X: FinSet, K: int) -> Kernel:
     return Kernel(P, M, PointRows(M, tuple(map(rank.__getitem__, _word_counts(len(X), K)))))
 
 
-def _word_position(v: tuple[int, ...], n: int) -> int:
-    """The position in X^K, |X| = n, of the representative word of the count vector v."""
-    position = 0
-    for j, c in enumerate(v):
-        for _ in range(c):
-            position = position * n + j
-    return position
-
-
 @cache
 def section_kernel(X: FinSet, K: int) -> Kernel:
     """The canonical section M[K](X) -> X^K picking the representative word."""
     M, P = multiset_space(X, K), power_finset(X, K)
     n = len(X)
-    return Kernel(M, P, PointRows(P, tuple(_word_position(v, n) for v in count_vectors(n, K))))
+    # the representative word holds each letter j as often as the count vector v says, in order
+    words = ((j for j, c in enumerate(v) for _ in range(c)) for v in count_vectors(n, K))
+    return Kernel(M, P, PointRows(P, tuple(word_position(w, n) for w in words)))
 
 
 @cache
@@ -234,14 +227,7 @@ def epsilon_kernel(X: FinSet, K: int) -> Kernel:
     if K < 1:
         raise ValueError("coordinate sampling needs K >= 1")
     n = len(X)
-
-    def letters(i: int) -> Iterator[tuple[int, int]]:
-        # the K base-n digits of a word's position are its letters
-        for _ in range(K):
-            i, letter = divmod(i, n)
-            yield letter, 1
-
-    return frequency_kernel(power_finset(X, K), X, letters)
+    return frequency_kernel(power_finset(X, K), X, lambda i: zip(word_letters(i, n, K), itertools.repeat(1)))
 
 
 @cache
@@ -258,12 +244,13 @@ def drop_kernel(X: FinSet, K: int, i: int) -> Kernel:
     """Delete the i-th coordinate (1-indexed) of X^{K+1}."""
     if not 1 <= i <= K + 1:
         raise ValueError(f"drop index {i} out of range 1..{K + 1}")
+    n = len(X)
 
-    def drop(t: Label) -> Label:
-        coords = tuple_of(K + 1, t)
-        return untuple(K, coords[: i - 1] + coords[i:])
+    def drop(p: int) -> int:
+        w = word_letters(p, n, K + 1)
+        return word_position(w[: i - 1] + w[i:], n)
 
-    return kernel_from_function(power_finset(X, K + 1), power_finset(X, K), drop)
+    return index_map_kernel(power_finset(X, K + 1), power_finset(X, K), drop)
 
 
 @cache
@@ -271,12 +258,10 @@ def del_kernel(X: FinSet, K: int) -> Kernel:
     """Delete one uniformly chosen coordinate: X^{K+1} -> X^K."""
     P, Q = power_finset(X, K + 1), power_finset(X, K)
     n = len(X)
-    # the place value of each of the K + 1 letters, leftmost first
-    places = [n ** (K - j) for j in range(K + 1)]
 
     def drops(i: int) -> Iterator[tuple[int, int]]:
-        # deleting a letter keeps the digits above it, shifted down one place, and those below it
-        return ((i // (place * n) * place + i % place, 1) for place in places)
+        w = word_letters(i, n, K + 1)
+        return ((word_position(w[:j] + w[j + 1 :], n), 1) for j in range(K + 1))
 
     return frequency_kernel(P, Q, drops)
 

@@ -53,7 +53,18 @@ from finstoch import (
     unit_finset,
 )
 from finstoch import multisets
-from finstoch.core import Dist, FinSet, Kernel, PointRows, frequency_kernel, tuple_of, unchecked_weights, untuple
+from finstoch.core import (
+    Dist,
+    FinSet,
+    Kernel,
+    PointRows,
+    frequency_kernel,
+    tuple_of,
+    unchecked_weights,
+    untuple,
+    word_letters,
+    word_position,
+)
 from finstoch.multisets import Multiset, flrn_kernel, multiset_space
 
 AB = make_finset(["a", "b"])
@@ -129,13 +140,14 @@ class TestFinSet:
 
 
 class TestCountedCarriers:
-    """Powers, tensors and multiset spaces know their size without a list, and list their labels once."""
+    """Powers, tensors, coproducts and multiset spaces know their size without a list, and list their labels once."""
 
     @pytest.mark.parametrize("n", range(4))
     @pytest.mark.parametrize("K", range(4))
     def test_counted_carriers_match_their_listed_twins(self, n, K):
         X, Y = make_finset("abc"[:n]), make_finset("pq")
-        for c in (power_finset(X, K), tensor_finset(X, power_finset(Y, K)), multiset_space(X, K)):
+        carriers = (power_finset(X, K), tensor_finset(X, power_finset(Y, K)), multiset_space(X, K))
+        for c in carriers + (coproduct_finset((X, power_finset(Y, K), X)),):
             twin = FinSet(tuple(c.elements))
             assert len(c) == len(twin) == len(c.elements)
             assert c.elements == twin.elements
@@ -208,6 +220,17 @@ class TestCountedCarriers:
             with pytest.raises(CarrierTooLarge):
                 tensor_finset(ABC, power_finset(AB, 2))
             assert len(FinSet.counted(10, lambda: pytest.fail("not read"))) == 10
+
+
+class TestWordCodec:
+    """Word i of X^K, |X| = n, has the base-n digits of i as its letters, leftmost most significant."""
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    @pytest.mark.parametrize("K", range(5))
+    def test_letters_list_the_power_in_order(self, n, K):
+        words = [word_letters(i, n, K) for i in range(n**K)]
+        assert words == list(itertools.product(range(n), repeat=K))
+        assert [word_position(w, n) for w in words] == list(range(n**K))
 
 
 class TestDist:
@@ -698,6 +721,20 @@ class TestLazyRows:
         assert sq.rows[2] is first
         assert sq.rows[-2] is first
         assert len(built_dists) == 1 and built_dists[0] is first
+
+    def test_reading_every_row_compares_no_rows(self, monkeypatch):
+        compared = []
+        equal = Dist.__eq__
+
+        def counted(self, other):
+            compared.append(other)
+            return equal(self, other)
+
+        monkeypatch.setattr(Dist, "__eq__", counted)
+        power = kernel_power(multisets.arr_kernel(ABC, 2), 3)
+        rows = list(power.rows)
+        assert len(rows) == len(set(map(id, rows))) == 216
+        assert compared == []
 
     def test_validation_setting_captured_when_made(self):
         with unchecked_weights():

@@ -29,7 +29,7 @@ from finstoch import (
     power_finset,
     state_kernel,
 )
-from finstoch.core import Kernel
+from finstoch.core import FinSet, Kernel
 
 HT = make_finset(["h", "t"])
 AB = make_finset(["a", "b"])
@@ -219,3 +219,20 @@ class TestRowsOnFirstUse:
         assert hg.row(urn) is row
         assert len(built_dists) == 1 and built_dists[0] is row
         assert row.as_dict == hypergeometric_oracle(urn, 2)
+
+    def test_hypergeometric_row_lists_neither_carrier(self, monkeypatch):
+        listed = []
+        counted = FinSet.counted.__func__
+
+        def listing(cls, size, build):
+            return counted(cls, size, lambda: listed.append(size) or build())
+
+        monkeypatch.setattr(FinSet, "counted", classmethod(listing))
+        X = make_finset(["hg-a", "hg-b", "hg-c", "hg-d"])  # labels no other test builds, so no cache hit
+        hg = hypergeometric_kernel(X, 8, 3)
+        assert (len(hg.domain), len(hg.codomain)) == (165, 20)
+        row = hg.rows[17]
+        assert sum(row.nums) == row.den and len(row.nums) > 1
+        assert listed == []
+        assert row.as_dict == hypergeometric_oracle(hg.domain.elements[17], 3)  # reading the row's labels lists both
+        assert sorted(listed) == [20, 165]

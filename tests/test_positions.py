@@ -1,13 +1,18 @@
 """The builders that work on carrier positions against label-level twins.
 
 acc, arr, perm, zip, mu, msum, ksum, msplit and its inverse find their
-targets from count vectors and mixed-radix positions.  Each twin below
-builds the same kernel the label way: it makes every multiset or tuple
-and looks it up in the codomain.  The twins use next-permutation for
-the arrangements, ``acc_of_seq`` for the accumulation and ``msum`` for
-the sums.
+targets from count vectors and mixed-radix positions; projection,
+permutation, swap, coprojection, copy, drop, del and epsilon read and
+write the positions of words through ``word_letters`` and
+``word_position``; the multinomial and hypergeometric closed forms
+compute ``int`` numerators on count vectors.  Each twin below builds
+the same kernel the label way: it makes every multiset or tuple and
+looks it up in the codomain.  The twins use next-permutation for the
+arrangements, ``acc_of_seq`` for the accumulation, ``msum`` for the
+sums and ``Fraction`` weights for the closed forms.
 """
 
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -18,7 +23,12 @@ from finstoch import (
     acc_kernel,
     acc_of_seq,
     arr_kernel,
+    copy_kernel,
+    coprojection_kernel,
     coproduct_finset,
+    del_kernel,
+    epsilon_kernel,
+    hypergeometric_kernel,
     kernel_compose_all,
     kernel_equal,
     kernel_from_function,
@@ -32,13 +42,18 @@ from finstoch import (
     msum_kernel,
     multiset_space,
     mu_kernel,
+    multinomial_pmf_kernel,
     mzip_kernel,
     perm_kernel,
+    permutation_kernel,
     power_finset,
+    projection_kernel,
+    swap_kernel,
     tensor_finset,
     zip_iso,
 )
-from finstoch.core import Dist, Kernel, tuple_of, untuple
+from finstoch.core import Dist, Kernel, all_permutations, tuple_of, untuple
+from finstoch.multisets import drop_kernel
 
 BASES = [make_finset("abc"[:n]) for n in range(4)]
 OTHERS = [make_finset("xyz"[:n]) for n in range(4)]
@@ -140,6 +155,125 @@ def eager_mzip(X, Y, K):
     return kernel_compose_all(
         eager_acc(tensor_finset(X, Y), K), eager_zip(X, Y, K), kernel_tensor(eager_arr(X, K), eager_arr(Y, K))
     )
+
+
+def eager_projection(X, K, i):
+    return kernel_from_function(power_finset(X, K), X, lambda t: tuple_of(K, t)[i - 1])
+
+
+def eager_permutation(X, sigma):
+    K, P = sigma.size, power_finset(X, sigma.size)
+    return kernel_from_function(P, P, lambda t: untuple(K, sigma.apply(tuple_of(K, t))))
+
+
+def eager_swap(X, Y):
+    return kernel_from_function(tensor_finset(X, Y), tensor_finset(Y, X), lambda p: (p[1], p[0]))
+
+
+def eager_coprojection(parts, i):
+    return kernel_from_function(parts[i], coproduct_finset(parts), lambda x: Tagged(i, x))
+
+
+def eager_copy(X, K):
+    return kernel_from_function(X, power_finset(X, K), lambda x: untuple(K, (x,) * K))
+
+
+def eager_drop(X, K, i):
+    def drop(t):
+        coords = tuple_of(K + 1, t)
+        return untuple(K, coords[: i - 1] + coords[i:])
+
+    return kernel_from_function(power_finset(X, K + 1), power_finset(X, K), drop)
+
+
+def eager_del(X, K):
+    P, Q = power_finset(X, K + 1), power_finset(X, K)
+
+    def row(t):
+        coords = tuple_of(K + 1, t)
+        return Dist(Q, [(untuple(K, coords[:j] + coords[j + 1 :]), F(1, K + 1)) for j in range(K + 1)])
+
+    return Kernel(P, Q, tuple(map(row, P)))
+
+
+def eager_epsilon(X, K):
+    P = power_finset(X, K)
+    return Kernel(P, X, tuple(Dist(X, [(x, F(1, K)) for x in tuple_of(K, t)]) for t in P))
+
+
+def eager_multinomial_pmf(f, K):
+    M = multiset_space(f.codomain, K)
+    rows = []
+    for x in f.domain:
+        p = f.row(x)
+        items = []
+        for m in M:
+            w = F(math.factorial(K), math.prod(math.factorial(c) for c in m.counts))
+            for y, c in m.items():
+                w *= p.weight(y) ** c
+            items.append((m, w))
+        rows.append(Dist(M, items))
+    return Kernel(f.domain, M, tuple(rows))
+
+
+def eager_hypergeometric(X, L, K):
+    Min, Mout = multiset_space(X, L), multiset_space(X, K)
+
+    def row(urn):
+        items = []
+        for m in Mout:
+            if all(c <= u for c, u in zip(m.counts, urn.counts)):
+                num = math.prod(math.comb(u, c) for u, c in zip(urn.counts, m.counts))
+                items.append((m, F(num, math.comb(L, K))))
+        return Dist(Mout, items)
+
+    return Kernel(Min, Mout, tuple(map(row, Min)))
+
+
+def skewed_kernel(X, Y):
+    """A kernel X -> Y whose i-th row weighs the j-th element of Y as (j + 1) ** (i + 1): unequal entries in each row."""
+
+    def row(i):
+        weights = [(j + 1) ** (i + 1) for j in range(len(Y))]
+        return Dist(Y, [(y, F(w, sum(weights))) for y, w in zip(Y, weights)])
+
+    return Kernel(X, Y, tuple(map(row, range(len(X)))))
+
+
+@pytest.mark.parametrize("X", BASES, ids=len)
+def test_word_maps_match_twins(X):
+    for K in KS:
+        assert kernel_equal(copy_kernel(X, K), eager_copy(X, K)), K
+        for i in range(1, K + 1):
+            assert kernel_equal(projection_kernel(X, K, i), eager_projection(X, K, i)), (K, i)
+        for sigma in all_permutations(K):
+            assert kernel_equal(permutation_kernel(X, sigma), eager_permutation(X, sigma)), sigma
+        if K >= 1:
+            assert kernel_equal(epsilon_kernel(X, K), eager_epsilon(X, K)), K
+    for K in range(4):
+        assert kernel_equal(del_kernel(X, K), eager_del(X, K)), K
+        for i in range(1, K + 2):
+            assert kernel_equal(drop_kernel(X, K, i), eager_drop(X, K, i)), (K, i)
+
+
+@pytest.mark.parametrize("X", BASES, ids=len)
+def test_swap_and_coprojections_match_twins(X):
+    for Y in OTHERS:
+        assert kernel_equal(swap_kernel(X, Y), eager_swap(X, Y)), Y
+        parts = (Y, X, Y)
+        for i in range(len(parts)):
+            assert kernel_equal(coprojection_kernel(parts, i), eager_coprojection(parts, i)), (Y, i)
+
+
+@pytest.mark.parametrize("X", BASES[1:], ids=len)
+def test_closed_forms_match_fraction_twins(X):
+    for L in range(7):
+        for K in range(L + 1):
+            assert kernel_equal(hypergeometric_kernel(X, L, K), eager_hypergeometric(X, L, K)), (L, K)
+    for Y in OTHERS[1:]:
+        f = skewed_kernel(X, Y)
+        for K in KS:
+            assert kernel_equal(multinomial_pmf_kernel(f, K), eager_multinomial_pmf(f, K)), (Y, K)
 
 
 @pytest.mark.parametrize("X", BASES, ids=len)
