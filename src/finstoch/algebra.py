@@ -9,7 +9,7 @@ part of the law suite.
 
 from __future__ import annotations
 
-import operator
+import itertools
 
 from .core import (
     FinSet,
@@ -23,7 +23,7 @@ from .core import (
     reindex_kernel,
     tensor_finset,
 )
-from .multisets import Multiset, acc_kernel, arr_kernel, count_vectors, multiset_index, multiset_space
+from .multisets import Multiset, acc_kernel, add_table, arr_kernel, multiset_space, sum_rows
 
 
 @cache
@@ -59,20 +59,12 @@ def msum(phi: Multiset, psi: Multiset) -> Multiset:
     return Multiset(phi.base, tuple(a + b for a, b in zip(phi.counts, psi.counts)))
 
 
-def _sum_targets(X: FinSet, sizes: tuple[int, ...], total: int) -> tuple[int, ...]:
-    """The M[total](X) position of the sum of each choice of one multiset per size, leftmost size most significant."""
-    sums = [(0,) * len(X)]
-    for size in sizes:
-        sums = [tuple(map(operator.add, s, v)) for s in sums for v in count_vectors(len(X), size)]
-    return tuple(map(multiset_index(X, total).__getitem__, sums))
-
-
 @cache
 def msum_kernel(X: FinSet, K: int, L: int) -> Kernel:
     """Multiset addition as a deterministic kernel M[K](X) (x) M[L](X) -> M[K+L](X)."""
     MK, ML = multiset_space(X, K), multiset_space(X, L)
     dom, cod = tensor_finset(MK, ML), multiset_space(X, K + L)
-    return Kernel(dom, cod, PointRows(cod, _sum_targets(X, (K, L), K + L)))
+    return Kernel(dom, cod, PointRows(cod, tuple(itertools.chain.from_iterable(add_table(len(X), K, L)))))
 
 
 @cache
@@ -91,27 +83,25 @@ def mzip_kernel(X: FinSet, Y: FinSet, K: int) -> Kernel:
 
 @cache
 def ksum_kernel(X: FinSet, K: int, L: int) -> Kernel:
-    """The K-fold iterated sum (M[L](X))^K -> M[K*L](X)."""
-    ML = multiset_space(X, L)
-    dom, cod = power_finset(ML, K), multiset_space(X, K * L)
-    return Kernel(dom, cod, PointRows(cod, _sum_targets(X, (L,) * K, K * L)))
+    """The K-fold iterated sum (M[L](X))^K -> M[K*L](X): a fold of additions of M[L] over each word."""
+    dom, cod = power_finset(multiset_space(X, L), K), multiset_space(X, K * L)
+    return Kernel(dom, cod, sum_rows(cod, len(X), K, L))
 
 
 @cache
 def mu_kernel(X: FinSet, K: int, L: int) -> Kernel:
     """Graded multiplication M[K](M[L](X)) -> M[K*L](X).
 
-    An outer multiset of inner multisets flattens to the
-    multiplicity-weighted pointwise sum of its inner multisets.
+    An outer multiset flattens to the sum of the inner multisets of its
+    representative word, folded through the steps of :func:`ksum_kernel`.
     """
     ML = multiset_space(X, L)
     dom = multiset_space(ML, K)
     cod = multiset_space(X, K * L)
-    rank = multiset_index(X, K * L)
-    # per base element, its count in each inner multiset of M[L](X)
-    columns = tuple(zip(*count_vectors(len(X), L)))
-
-    def flatten(outer: tuple[int, ...]) -> int:
-        return rank[tuple(sum(map(operator.mul, outer, column)) for column in columns)]
-
-    return Kernel(dom, cod, PointRows(cod, tuple(map(flatten, count_vectors(len(ML), K)))))
+    # (state, last letter) per prefix: representative words ascend, so in carrier order
+    # each prefix takes the letters from its last one on
+    states = [(0, 0)]
+    for j in range(K):
+        step = add_table(len(X), j * L, L)
+        states = [(step[r][s], s) for r, last in states for s in range(last, len(ML))]
+    return Kernel(dom, cod, PointRows(cod, tuple(r for r, _ in states)))

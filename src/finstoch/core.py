@@ -11,7 +11,11 @@ in the suite is exact; labels and :class:`fractions.Fraction` weights
 appear only where rows are built from or read as (label, weight) pairs,
 and in :func:`kernel_from_function`, kept for :mod:`finstoch.split`.
 The uniform draws are relative frequencies of bags of outcomes
-(:func:`frequency_kernel`): their builders compute no weights.
+(:func:`frequency_kernel`): their builders compute no weights.  A
+tensor or a power holds its rows by its factors (:class:`ProductRows`)
+until they are read: a deterministic map after it relabels the factors,
+and a fold such as acc runs its step tables over each word's prefixes,
+so neither builds a product row; runs of deterministic maps compose first.
 
 Canonical orders are fixed once and for all:
 
@@ -36,7 +40,7 @@ import operator
 from contextlib import contextmanager
 from contextvars import ContextVar
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 Label = Hashable
@@ -432,12 +436,12 @@ def _radix(parts: Iterable[Sequence[int]], radix: int) -> list[int]:
     return out
 
 
-def _product(carrier: FinSet, rows: Sequence[Dist], radix: int) -> Dist:
-    """The independent product of rows on a mixed-radix carrier, leftmost row most significant."""
+def _expand(rows: Sequence[Dist], radix: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """The positions on a mixed-radix carrier, numerators and denominator of the independent product of rows."""
     nums = [1]
     for r in rows:
         nums = [m * n for m in nums for n in r.nums]
-    return _row(carrier, tuple(_radix([r.indices for r in rows], radix)), tuple(nums), math.prod(r.den for r in rows))
+    return tuple(_radix([r.indices for r in rows], radix)), tuple(nums), math.prod(r.den for r in rows)
 
 
 def make_dist(carrier: FinSet, weights: Mapping[Label, Fraction | int]) -> Dist:
@@ -491,7 +495,7 @@ def fractional_series(nums: Sequence[int]) -> Dist:
 def series_bullet(r: Dist, s: Dist) -> Dist:
     """Row-major product of two states on numbers: weight (i, j) is r_i * s_j."""
     m = len(s.carrier)
-    return _product(number_finset(len(r.carrier) * m), (r, s), m)
+    return _row(number_finset(len(r.carrier) * m), *_expand((r, s), m))
 
 
 class Permutation(Frozen):
@@ -563,7 +567,7 @@ class LazyRows:
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return tuple(self[j] for j in range(*i.indices(len(self._rows))))
+            return tuple(self[j] for j in range(*i.indices(len(self))))
         build = self._build  # read before the row: it is None only once every row is built
         row = self._rows[i]
         if row is None:
@@ -580,7 +584,7 @@ class LazyRows:
 
     def __iter__(self) -> Iterator[Dist]:
         # not the default iteration by index, which would end quietly on an IndexError from a build
-        return map(self.__getitem__, range(len(self._rows)))
+        return map(self.__getitem__, range(len(self)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, (tuple, LazyRows)):
@@ -594,24 +598,27 @@ class LazyRows:
 class PointRows(LazyRows):
     """The rows of a deterministic kernel: row i is the point mass at ``codomain.elements[targets[i]]``.
 
-    A point mass is built when first read, once per distinct target. Two
-    ``PointRows`` compare by codomain and targets without building rows.
+    A read returns its target's one shared point mass; two ``PointRows`` compare by
+    codomain and targets, building no row. ``steps``, if given, fold each word
+    s_1 .. s_K of dom = Y^K to its target r_K: r_0 = 0, r_j = steps[j-1][r_(j-1)][s_j].
     """
 
-    __slots__ = ("codomain", "targets")
+    __slots__ = ("codomain", "targets", "steps", "_points")
 
-    def __init__(self, codomain: FinSet, targets: tuple[int, ...]) -> None:
-        self.codomain = codomain
-        self.targets = targets
-        points: dict[int, Dist] = {}
+    def __init__(self, codomain: FinSet, targets: tuple[int, ...], steps: tuple | None = None) -> None:
+        self.codomain, self.targets, self.steps, self._points = codomain, targets, steps, {}
 
-        def build(i: int) -> Dist:
-            t = targets[i]
-            if t not in points:
-                points[t] = _row(codomain, (t,), (1,), 1)
-            return points[t]
+    def __len__(self) -> int:
+        return len(self.targets)
 
-        super().__init__(len(targets), build)
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return super().__getitem__(i)
+        t = self.targets[i]
+        row = self._points.get(t)
+        if row is None:
+            row = self._points[t] = _row(self.codomain, (t,), (1,), 1)
+        return row
 
     def __eq__(self, other) -> bool:
         if isinstance(other, PointRows):
@@ -619,6 +626,42 @@ class PointRows(LazyRows):
         return super().__eq__(other)
 
     __hash__ = LazyRows.__hash__
+
+
+class ProductRows(LazyRows):
+    """The rows of a tensor or a power, held by their factor rows ``parts`` until read.
+
+    Row i is the product of one row of each part, picked by the digits of
+    ``words[i]`` in the radices of the parts, on a codomain whose last
+    factor has ``radix`` elements. A power builds each row on its first
+    read, a tensor (``whole``) all rows at the first read.
+    """
+
+    __slots__ = ("codomain", "radix", "parts", "words")
+
+    def __init__(self, codomain: FinSet, radix: int, parts: tuple, words: Sequence[int], whole: bool = False) -> None:
+        self.codomain, self.radix, self.parts, self.words = codomain, radix, parts, words
+        super().__init__(len(words), self._build_all if whole else lambda i: _row(codomain, *self.expand(i)))
+
+    def letters(self, i: int) -> tuple[int, ...]:
+        w, out = self.words[i], []
+        for part in reversed(self.parts):
+            w, x = divmod(w, len(part))
+            out.append(x)
+        return tuple(reversed(out))
+
+    def expand(self, i: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+        return _expand([part[x] for part, x in zip(self.parts, self.letters(i))], self.radix)
+
+    def expanded(self) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], int]]:
+        """Every row's expansion, in order; over every word, straight from the parts."""
+        if isinstance(self.words, range):
+            return (_expand(rows, self.radix) for rows in itertools.product(*self.parts))
+        return map(self.expand, range(len(self)))
+
+    def _build_all(self, i: int) -> Dist:
+        self._rows[:], self._unbuilt = (_row(self.codomain, *e) for e in self.expanded()), 0
+        return self._rows[i]
 
 
 class Kernel(Frozen):
@@ -675,22 +718,46 @@ def constant_kernel(domain: FinSet, d: Dist) -> Kernel:
 def kernel_compose(g: Kernel, f: Kernel) -> Kernel:
     """The composite g after f (sum over intermediate states).
 
-    A deterministic f gathers rows of g; a deterministic g relabels the rows of f.
+    A deterministic f gathers rows of g, and a product's stay factored; a deterministic g
+    relabels the rows of f, a product's through its factors, and a fold runs over them (:func:`_fold_rows`).
     """
     if f.codomain != g.domain:
         raise ValueError("composition needs cod(f) == dom(g)")
-    g_rows, cod = g.rows, g.codomain
-    if isinstance(f.rows, PointRows):
+    f_rows, g_rows, cod = f.rows, g.rows, g.codomain
+    if isinstance(f_rows, PointRows):
         if isinstance(g_rows, PointRows):
-            rows = PointRows(cod, tuple(map(g_rows.targets.__getitem__, f.rows.targets)))
+            rows = PointRows(cod, tuple(map(g_rows.targets.__getitem__, f_rows.targets)))
+        elif isinstance(g_rows, ProductRows):
+            rows = ProductRows(cod, g_rows.radix, g_rows.parts, tuple(map(g_rows.words.__getitem__, f_rows.targets)))
         else:
-            rows = tuple(map(g_rows.__getitem__, f.rows.targets))
+            rows = tuple(map(g_rows.__getitem__, f_rows.targets))
     elif isinstance(g_rows, PointRows):
+        if isinstance(f_rows, ProductRows) and g_rows.steps is not None and len(g_rows.steps) == len(f_rows.parts):
+            return Kernel(f.domain, cod, _fold_rows(cod, g_rows.steps, f_rows))
+        terms = f_rows.expanded() if isinstance(f_rows, ProductRows) else ((r.indices, r.nums, r.den) for r in f_rows)
         relabel = g_rows.targets.__getitem__
-        rows = tuple(_row(cod, *_tally(zip(map(relabel, row.indices), row.nums)), row.den) for row in f.rows)
+        rows = tuple(_row(cod, *_tally(zip(map(relabel, p), v)), d) for p, v, d in terms)
     else:
-        rows = tuple(_mix(cod, row, [g_rows[y] for y in row.indices]) for row in f.rows)
+        rows = tuple(_mix(cod, row, [g_rows[y] for y in row.indices]) for row in f_rows)
     return Kernel(f.domain, cod, rows)
+
+
+def _fold_rows(cod: FinSet, steps: tuple, product: ProductRows) -> tuple[Dist, ...]:
+    """The rows of a fold after a product: a forward pass through ``steps`` over each word's prefixes, each once."""
+
+    @functools.cache
+    def after(prefix: tuple[int, ...]) -> tuple[dict[int, int], int]:
+        if not prefix:
+            return {0: 1}, 1
+        sums, den = after(prefix[:-1])
+        j = len(prefix) - 1
+        row, step, out = product.parts[j][prefix[j]], steps[j], {}
+        for r, v in sums.items():
+            for t, u in zip(map(step[r].__getitem__, row.indices), row.nums):
+                out[t] = out.get(t, 0) + v * u
+        return out, den * row.den
+
+    return tuple(_row(cod, *_tally(s.items()), d) for s, d in map(after, map(product.letters, range(len(product)))))
 
 
 def kernel_compose_all(*ks: Kernel) -> Kernel:
@@ -699,35 +766,38 @@ def kernel_compose_all(*ks: Kernel) -> Kernel:
     Folding from the right lets a deterministic map on the right pick the
     rows of the kernels to its left before anything composes over them all.
     """
-    return reduce(lambda f, g: kernel_compose(g, f), reversed(ks))
+    f, rest = ks[-1], list(ks[:-1])
+    while rest:
+        g = rest.pop()
+        if not isinstance(f.rows, PointRows):  # a run of deterministic maps composes first, then relabels f once
+            while rest and isinstance(g.rows, PointRows) and isinstance(rest[-1].rows, PointRows):
+                g = kernel_compose(rest.pop(), g)
+        f = kernel_compose(g, f)
+    return f
 
 
 def kernel_tensor(f: Kernel, g: Kernel) -> Kernel:
-    """Parallel composition on row-major product carriers."""
+    """Parallel composition on row-major product carriers: index targets, or rows held by their factors."""
     dom = tensor_finset(f.domain, g.domain)
     cod = tensor_finset(f.codomain, g.codomain)
     n = len(g.codomain)
     if isinstance(f.rows, PointRows) and isinstance(g.rows, PointRows):
         return Kernel(dom, cod, PointRows(cod, tuple(_radix((f.rows.targets, g.rows.targets), n))))
-    return Kernel(dom, cod, tuple(_product(cod, (rf, rg), n) for rf in f.rows for rg in g.rows))
+    return Kernel(dom, cod, ProductRows(cod, n, (f.rows, g.rows), range(len(dom)), whole=True))
 
 
 def kernel_power(f: Kernel, K: int) -> Kernel:
-    """K independent copies of f on power carriers: rows built on first use, or index targets if f is deterministic."""
+    """K independent copies of f on power carriers: index targets if f is deterministic, else rows held by f's rows."""
     if K < 0:
         raise ValueError("power exponent must be nonnegative")
     if K == 1:
         return f
     dom = power_finset(f.domain, K)
     cod = power_finset(f.codomain, K)
-    m, n = len(f.domain), len(f.codomain)
+    n = len(f.codomain)
     if isinstance(f.rows, PointRows):
         return Kernel(dom, cod, PointRows(cod, tuple(_radix((f.rows.targets,) * K, n))))
-
-    def row(i: int) -> Dist:
-        return _product(cod, [f.rows[x] for x in word_letters(i, m, K)], n)
-
-    return Kernel(dom, cod, LazyRows(len(dom), row))
+    return Kernel(dom, cod, ProductRows(cod, n, (f.rows,) * K, range(len(dom))))
 
 
 def cotuple(fs: Sequence[Kernel], codomain: FinSet | None = None) -> Kernel:

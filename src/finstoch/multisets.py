@@ -8,11 +8,12 @@ carrier is counted: the builders read the count vectors of
 :func:`count_vectors`, and the :class:`Multiset` labels are built only
 when the carrier itself is read.
 
-The accumulation map ``acc`` sends a tuple to its count vector; every
-map *out of* the quotient is built by sending each multiset through its
+The accumulation map ``acc`` sends a tuple to its count vector, by a
+left fold of one-letter additions through :func:`add_table`; every map
+*out of* the quotient is built by sending each multiset through its
 canonical representative tuple, and the fact that this is well defined
 is checked by the law suite rather than assumed.  Maps *into* ``M[K](X)``
-find the position of a count vector through :func:`multiset_index`.
+find a count vector's position through ``add_table`` or :func:`multiset_index`.
 
 arr, Flrn, coordinate sampling, uniform deletion and DD are relative
 frequencies of bags (``core.frequency_kernel``): no builder computes
@@ -23,7 +24,6 @@ vector.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -162,27 +162,27 @@ def multiset_index(X: FinSet, K: int) -> dict[tuple[int, ...], int]:
     return {v: i for i, v in enumerate(count_vectors(len(X), K))}
 
 
-def _word_counts(n: int, K: int) -> list[tuple[int, ...]]:
-    """The count vector of every word of length K over range(n), in the order of power_finset.
+@cache
+def add_table(n: int, k: int, L: int) -> tuple[tuple[int, ...], ...]:
+    """Count-vector addition over an n-element base: [r][s] is the M[k+L] position of r of M[k] plus s of M[L]."""
+    rank = {v: i for i, v in enumerate(count_vectors(n, k + L))}
+    return tuple(tuple(rank[tuple(map(operator.add, r, s))] for s in count_vectors(n, L)) for r in count_vectors(n, k))
 
-    Appending letter j to a word adds one to its j-th count, so each
-    distinct count vector is extended once per letter, not once per word.
-    """
-    units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
-    extend = functools.cache(lambda v: [tuple(map(operator.add, v, u)) for u in units])
-    words = [(0,) * n]
-    for _ in range(K):
-        words = [w for v in words for w in extend(v)]
-    return words
+
+def sum_rows(codomain: FinSet, n: int, K: int, L: int) -> PointRows:
+    """The K-fold sum of count vectors of M[L] over an n-element base on the words of M[L]^K, folding add_table."""
+    steps = tuple(add_table(n, j * L, L) for j in range(K))
+    targets = [0]
+    for step in steps:
+        targets = [t for r in targets for t in step[r]]
+    return PointRows(codomain, tuple(targets), steps)
 
 
 @cache
 def acc_kernel(X: FinSet, K: int) -> Kernel:
-    """The accumulation quotient map X^K -> M[K](X): each word goes to the position of its count vector."""
+    """The accumulation quotient map X^K -> M[K](X): a fold of one-letter additions over each word."""
     M = multiset_space(X, K)
-    P = power_finset(X, K)
-    rank = multiset_index(X, K)
-    return Kernel(P, M, PointRows(M, tuple(map(rank.__getitem__, _word_counts(len(X), K)))))
+    return Kernel(power_finset(X, K), M, sum_rows(M, len(X), K, 1))
 
 
 @cache
@@ -190,8 +190,8 @@ def section_kernel(X: FinSet, K: int) -> Kernel:
     """The canonical section M[K](X) -> X^K picking the representative word."""
     M, P = multiset_space(X, K), power_finset(X, K)
     n = len(X)
-    # the representative word holds each letter j as often as the count vector v says, in order
-    words = ((j for j, c in enumerate(v) for _ in range(c)) for v in count_vectors(n, K))
+    # representative words ascend, as combinations with replacement come out, in carrier order
+    words = itertools.combinations_with_replacement(range(n), K)
     return Kernel(M, P, PointRows(P, tuple(word_position(w, n) for w in words)))
 
 
@@ -200,10 +200,9 @@ def arr_kernel(X: FinSet, K: int) -> Kernel:
     """Arrangement: each multiset goes uniformly to the words of its acc fibre."""
     P = power_finset(X, K)  # built first, so an oversized query names the power
     M = multiset_space(X, K)
-    rank = multiset_index(X, K)
     fibres: list[list[int]] = [[] for _ in range(len(M))]
-    for w, counts in enumerate(_word_counts(len(X), K)):
-        fibres[rank[counts]].append(w)
+    for w, m in enumerate(sum_rows(M, len(X), K, 1).targets):
+        fibres[m].append(w)
     return frequency_kernel(M, P, lambda i: zip(fibres[i], itertools.repeat(1)))
 
 
@@ -215,10 +214,8 @@ def perm_kernel(X: FinSet, K: int) -> Kernel:
     agreement with the literal convex sum over the symmetric group is
     one of the registered laws.
     """
-    P = power_finset(X, K)
-    arr = arr_kernel(X, K)
-    rank = multiset_index(X, K)
-    return Kernel(P, P, tuple(arr.rows[rank[counts]] for counts in _word_counts(len(X), K)))
+    P, M = power_finset(X, K), multiset_space(X, K)
+    return Kernel(P, P, tuple(map(arr_kernel(X, K).rows.__getitem__, sum_rows(M, len(X), K, 1).targets)))
 
 
 @cache

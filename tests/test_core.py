@@ -789,9 +789,10 @@ class TestPointRows:
         assert_twins(kernel_compose(g_out, d), kernel_compose(g_out, d_eager))
         assert_twins(kernel_compose(e, g_in), kernel_compose(e_eager, g_in))
         K = data.draw(st.integers(0, 3))
+        t = kernel_tensor(d_eager, e_eager)  # held by its factors: its rows listed make the eager twin
         point_cases = [
             (kernel_compose(e, d), kernel_compose(e_eager, d_eager)),
-            (kernel_tensor(d, e), kernel_tensor(d_eager, e_eager)),
+            (kernel_tensor(d, e), Kernel(t.domain, t.codomain, tuple(t.rows))),
             (cotuple([d, d2]), cotuple([d_eager, d2_eager])),
             (kernel_power(d, K), eager_power(d_eager, K)),
         ]

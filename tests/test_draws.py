@@ -207,9 +207,11 @@ class TestRowsOnFirstUse:
             builder.cache_clear()
         mzip_kernel(ABC, AB, 5)
         # zip and acc on (ABC x AB)^5 have 7,776 rows each; held as indices they
-        # build none, and the point masses left are rows of arr and of the composites
-        assert len(built_dists) == 405
-        assert sum(d.is_point_mass() for d in built_dists) == 71
+        # build none, acc . zip relabels the factors of arr (x) arr and builds none
+        # of its 126 product rows, so what is left is the 27 rows of the two arr
+        # kernels and the 126 rows of mzip
+        assert len(built_dists) == 27 + 126
+        assert sum(d.is_point_mass() for d in built_dists) == 59
 
     def test_hypergeometric_row_builds_one_dist(self, built_dists):
         hypergeometric_kernel.cache_clear()

@@ -10,12 +10,22 @@ the same kernel the label way: it makes every multiset or tuple and
 looks it up in the codomain.  The twins use next-permutation for the
 arrangements, ``acc_of_seq`` for the accumulation, ``msum`` for the
 sums and ``Fraction`` weights for the closed forms.
+
+Tensors and powers hold their rows by their factors, and a
+deterministic map after them relabels the factors; acc and ksum after a
+power run through the step tables of ``add_table``.  The composites
+below are checked against the same composites with every product row
+built and listed first, and the step-table targets against count-vector
+sums.
 """
 
 import math
+import sys
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finstoch import (
     Multiset,
@@ -29,19 +39,23 @@ from finstoch import (
     del_kernel,
     epsilon_kernel,
     hypergeometric_kernel,
+    kernel_compose,
     kernel_compose_all,
     kernel_equal,
     kernel_from_function,
+    kernel_power,
     kernel_tensor,
     ksum_kernel,
     make_finset,
     msplit_inv_kernel,
     msplit_kernel,
     msplit_space,
+    mset_map,
     msum,
     msum_kernel,
     multiset_space,
     mu_kernel,
+    multinomial_kernel,
     multinomial_pmf_kernel,
     mzip_kernel,
     perm_kernel,
@@ -52,8 +66,10 @@ from finstoch import (
     tensor_finset,
     zip_iso,
 )
-from finstoch.core import Dist, Kernel, all_permutations, tuple_of, untuple
-from finstoch.multisets import drop_kernel
+from finstoch import multisets
+from finstoch.core import Dist, Kernel, all_permutations, index_map_kernel, tuple_of, untuple, word_letters
+from finstoch.laws import KERNEL_KINDS, GridSpec, make_kernel, run_laws
+from finstoch.multisets import add_table, count_vectors, drop_kernel, multichoose, section_kernel
 
 BASES = [make_finset("abc"[:n]) for n in range(4)]
 OTHERS = [make_finset("xyz"[:n]) for n in range(4)]
@@ -323,3 +339,164 @@ def test_kernel_scale_sizes_match_twins():
     assert kernel_equal(mzip_kernel(X3, two, 5), eager_mzip(X3, two, 5))
     assert kernel_equal(mu_kernel(X3, 4, 4), eager_mu(X3, 4, 4))
     assert kernel_equal(msplit_kernel(X3, Y3, 8), eager_msplit(X3, Y3, 8))
+
+
+# Factored products and the fused fold --------------------------------------------
+
+
+def listed(k):
+    """k with every row built and held in a tuple: a composite over it reads whole product rows."""
+    return Kernel(k.domain, k.codomain, tuple(k.rows))
+
+
+def grid_or_drawn_kernel(data, X, Y):
+    """A kernel X -> Y: one of the law grid's kinds, or rows of drawn naturals over their sum."""
+    kinds = [kind for kind in KERNEL_KINDS if kind != "iso" or len(X) == len(Y)]
+    kind = data.draw(st.sampled_from(kinds + ["drawn"]))
+    if kind != "drawn":
+        return make_kernel(kind, X, Y)
+    rows = []
+    for _ in X:
+        nums = data.draw(st.lists(st.integers(0, 4), min_size=len(Y), max_size=len(Y)).filter(any))
+        rows.append(Dist(Y, [(y, F(v, sum(nums))) for y, v in zip(Y, nums) if v]))
+    return Kernel(X, Y, tuple(rows))
+
+
+def largest_k(base, cap):
+    """The largest K <= 5 with base ** K <= cap."""
+    return max(K for K in range(6) if base**K <= cap)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_fold_after_a_power_equals_the_expanded_composite(data):
+    X, Y = BASES[data.draw(st.integers(1, 3))], OTHERS[data.draw(st.integers(1, 3))]
+    K = data.draw(st.integers(0, 5))
+    f = grid_or_drawn_kernel(data, X, Y)
+    acc, power = acc_kernel(Y, K), kernel_power(f, K)
+    for gather, composite in ((section_kernel(X, K), mset_map(f, K)), (copy_kernel(X, K), multinomial_kernel(f, K))):
+        picked = kernel_compose(power, gather)
+        expanded = kernel_compose(acc, listed(picked))
+        assert kernel_compose(acc, picked) == expanded
+        assert composite == expanded
+    if len(power.rows) * len(Y) ** K <= 3000:
+        assert kernel_compose(acc, power) == kernel_compose(acc, listed(power))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_ksum_after_a_power_equals_the_expanded_composite(data):
+    X, Y = BASES[data.draw(st.integers(1, 3))], OTHERS[data.draw(st.integers(1, 3))]
+    L = data.draw(st.integers(0, 3))
+    inner = mset_map(grid_or_drawn_kernel(data, X, Y), L)
+    K = data.draw(st.integers(0, largest_k(len(inner.domain) * len(inner.codomain), 5000)))
+    power = kernel_power(inner, K)
+    ksum = ksum_kernel(Y, K, L)
+    assert kernel_compose(ksum, power) == kernel_compose(ksum, listed(power))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_acc_zip_after_arr_tensor_equals_the_expanded_composite(n, m):
+    X, Y = BASES[n], OTHERS[m]
+    for K in range(largest_k(n * m, 8000) + 1):
+        tensor = kernel_tensor(arr_kernel(X, K), arr_kernel(Y, K))
+        expanded = kernel_compose(acc_kernel(tensor_finset(X, Y), K), kernel_compose(zip_iso(X, Y, K), listed(tensor)))
+        assert mzip_kernel(X, Y, K) == expanded, K
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_deterministic_map_after_a_product_relabels_its_factors(data):
+    A, B = BASES[data.draw(st.integers(1, 3))], OTHERS[data.draw(st.integers(1, 3))]
+    C, D = BASES[data.draw(st.integers(1, 3))], OTHERS[data.draw(st.integers(1, 3))]
+    Z = make_finset("uvw"[: data.draw(st.integers(1, 3))])
+
+    def random_map(dom):
+        targets = data.draw(st.lists(st.integers(0, len(Z) - 1), min_size=len(dom), max_size=len(dom)))
+        return index_map_kernel(dom, Z, targets.__getitem__)
+
+    f, h = grid_or_drawn_kernel(data, A, C), grid_or_drawn_kernel(data, B, D)
+    K = data.draw(st.integers(0, 3))
+    for product in (kernel_tensor(f, h), kernel_power(f, K)):
+        g = random_map(product.codomain)
+        assert kernel_compose(g, product) == kernel_compose(g, listed(product))
+        # a run of two deterministic maps composes first, then relabels the factors once
+        swap = index_map_kernel(Z, Z, lambda z: len(Z) - 1 - z)
+        assert kernel_compose_all(swap, g, product) == kernel_compose(swap, kernel_compose(g, listed(product)))
+
+
+def count_sum(n, vectors):
+    """The pointwise sum of count vectors over an n-element base."""
+    return tuple(map(sum, zip((0,) * n, *vectors)))
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_step_tables_add_count_vectors(n):
+    X = make_finset("abcd"[:n])
+
+    def position(v):
+        return count_vectors(n, sum(v)).index(v)
+
+    for k in range(5):
+        for L in range(5):
+            sums = tuple(
+                tuple(position(count_sum(n, (r, s))) for s in count_vectors(n, L)) for r in count_vectors(n, k)
+            )
+            assert add_table(n, k, L) == sums, (k, L)
+    units = count_vectors(n, 1)
+    for K in range(5):
+        acc = acc_kernel(X, K).rows.targets
+        assert acc == tuple(position(count_sum(n, [units[j] for j in word_letters(w, n, K)])) for w in range(n**K))
+        for L in range(5):
+            inner, size = count_vectors(n, L), multichoose(n, L)
+            if size**K <= 5000:
+                words = (word_letters(w, size, K) for w in range(size**K))
+                sums = tuple(position(count_sum(n, [inner[s] for s in word])) for word in words)
+                assert ksum_kernel(X, K, L).rows.targets == sums, (K, L)
+            if multichoose(size, K) <= 5000:
+                outers = count_vectors(size, K)
+                sums = tuple(position(count_sum(n, [inner[s] for s, c in enumerate(v) for _ in range(c)])) for v in outers)
+                assert mu_kernel(X, K, L).rows.targets == sums, (K, L)
+
+
+def clear_builder_caches():
+    """Clear every builder cache of the loaded finstoch modules, found by its ``cache_clear``."""
+    for name, module in list(sys.modules.items()):
+        if name == "finstoch" or name.startswith("finstoch."):
+            for value in vars(module).values():
+                if callable(getattr(value, "cache_clear", None)):
+                    value.cache_clear()
+
+
+@pytest.fixture
+def cold_caches():
+    """Builder caches cleared before and after the test, so no kernel built from a mutant outlives it."""
+    clear_builder_caches()
+    yield
+    clear_builder_caches()
+
+
+def test_a_swapped_step_table_entry_shows_in_targets_fused_rows_and_laws(monkeypatch, cold_caches):
+    AB = make_finset("ab")
+    f = make_kernel("generic", AB, AB)
+    acc, fused = acc_kernel(AB, 2).rows.targets, mset_map(f, 2).rows
+    clear_builder_caches()
+    real = multisets.add_table
+
+    def swapped(n, k, L):
+        # one-letter additions from M[1] over two colours: row 0 (one a) sends a and b to each other's sum
+        table = real(n, k, L)
+        if (n, k, L) != (2, 1, 1):
+            return table
+        first = list(table[0])
+        first[0], first[1] = first[1], first[0]
+        return (tuple(first),) + table[1:]
+
+    monkeypatch.setattr(multisets, "add_table", swapped)
+    assert acc_kernel(AB, 2).rows.targets != acc
+    assert mset_map(f, 2).rows != fused
+    grid = GridSpec(x_sizes=(1, 2), y_sizes=(1, 2), k_values=(0, 1, 2), number_sizes=(1, 2))
+    laws = ["Lemma3.2.acc_natural", "Thm7.3.acc_hom", "Thm7.3.ksum_square"]
+    report = run_laws(grid, selection=laws)
+    assert {r.law_id for r in report.results if r.failure_count} == set(laws)
