@@ -17,7 +17,7 @@ from .core import (
     PointRows,
     _radix,
     cache,
-    kernel_compose_all,
+    kernel_compose,
     kernel_tensor,
     power_finset,
     reindex_kernel,
@@ -71,14 +71,11 @@ def msum_kernel(X: FinSet, K: int, L: int) -> Kernel:
 def mzip_kernel(X: FinSet, Y: FinSet, K: int) -> Kernel:
     """Multizip: couple two equal-size multisets by a uniformly arranged pairing.
 
-    Computed as the composite accumulate . zip . (arrange (x) arrange);
-    no closed form is used.
+    Computed as the composite accumulate . zip . (arrange (x) arrange), its two
+    maps composed first to relabel the tensor's factors; no closed form is used.
     """
-    return kernel_compose_all(
-        acc_kernel(tensor_finset(X, Y), K),
-        zip_iso(X, Y, K),
-        kernel_tensor(arr_kernel(X, K), arr_kernel(Y, K)),
-    )
+    acc_zip = kernel_compose(acc_kernel(tensor_finset(X, Y), K), zip_iso(X, Y, K))
+    return kernel_compose(acc_zip, kernel_tensor(arr_kernel(X, K), arr_kernel(Y, K)))
 
 
 @cache

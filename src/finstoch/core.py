@@ -12,10 +12,9 @@ appear only where rows are built from or read as (label, weight) pairs,
 and in :func:`kernel_from_function`, kept for :mod:`finstoch.split`.
 The uniform draws are relative frequencies of bags of outcomes
 (:func:`frequency_kernel`): their builders compute no weights.  A
-tensor or a power holds its rows by its factors (:class:`ProductRows`)
-until they are read: a deterministic map after it relabels the factors,
-and a fold such as acc runs its step tables over each word's prefixes,
-so neither builds a product row; runs of deterministic maps compose first.
+tensor or a power holds its rows by its factors (:class:`ProductRows`),
+building each on its first read; a deterministic map after it relabels
+the factors, and a fold such as acc runs over each word's prefixes.
 
 Canonical orders are fixed once and for all:
 
@@ -40,7 +39,7 @@ import operator
 from contextlib import contextmanager
 from contextvars import ContextVar
 from fractions import Fraction
-from functools import cached_property
+from functools import reduce
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 Label = Hashable
@@ -114,6 +113,19 @@ def _guard_length(K: int) -> None:
     limit = _CARRIER_LIMIT.get()
     if limit is not None and K > limit:
         raise CarrierTooLarge(f"length {K} exceeds limit {limit}")
+
+
+class cached_field:
+    """``functools.cached_property`` without CPython 3.11's lock: threads first reading at once each compute it."""
+
+    def __init__(self, fn: Callable) -> None:
+        self.fn, self.name = fn, fn.__name__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = vars(obj)[self.name] = self.fn(obj)
+        return value
 
 
 class Frozen:
@@ -198,7 +210,7 @@ class FinSet(Frozen):
         vars(s).update(_size=size, _build=build)
         return s
 
-    @cached_property
+    @cached_field
     def elements(self) -> tuple[Label, ...]:
         # reached only by a counted carrier not yet listed; threads that list it at once each build it, one is kept
         held = vars(self)
@@ -214,11 +226,11 @@ class FinSet(Frozen):
         # identity first: a carrier compared with itself must not list or walk its labels
         return self is other or self.elements is other.elements or self.elements == other.elements
 
-    @cached_property
+    @cached_field
     def index(self) -> dict[Label, int]:
         return {x: i for i, x in enumerate(self.elements)}
 
-    @cached_property
+    @cached_field
     def _hash(self) -> int:
         return hash((self.elements,))
 
@@ -366,7 +378,7 @@ class Dist(Frozen):
         if den != self.den or len(nums) != len(self.nums):
             vars(self).update(indices=indices, nums=nums, den=den)
 
-    @cached_property
+    @cached_field
     def items(self) -> tuple[tuple[Label, Fraction], ...]:
         if self.den == 1 and self.nums == (1,):  # a point mass: every one shares its weight
             return ((self.carrier.elements[self.indices[0]], ONE),)
@@ -374,7 +386,7 @@ class Dist(Frozen):
         weights = {n: Fraction(n, self.den) for n in set(self.nums)}
         return tuple(zip(map(self.carrier.elements.__getitem__, self.indices), map(weights.__getitem__, self.nums)))
 
-    @cached_property
+    @cached_field
     def as_dict(self) -> dict[Label, Fraction]:
         return dict(self.items)
 
@@ -542,16 +554,36 @@ def all_permutations(k: int) -> tuple[Permutation, ...]:
     return tuple(Permutation(p) for p in itertools.permutations(range(k)))
 
 
-class LazyRows:
+class Rows:
+    """Rows read by ``__len__`` and ``_read(i)``; slices, iteration, ``==`` and ``hash`` act on all rows as a tuple."""
+
+    __slots__ = ()
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self._read, range(*i.indices(len(self)))))
+        return self._read(i)
+
+    def __iter__(self) -> Iterator[Dist]:
+        # not the default iteration by index, which would end quietly on an IndexError from a build
+        return map(self._read, range(len(self)))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (tuple, Rows)):
+            return NotImplemented
+        return tuple(self) == tuple(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+
+class LazyRows(Rows):
     """Kernel rows built on first use, each at most once.
 
-    ``build(i)`` makes row i on the kernel's codomain.  Rows are built
-    under the weight-validation setting in force when the sequence was
-    made, whenever they are first read.  Indexing, iteration, ``==`` and
-    ``hash`` behave as for the tuple of all rows, which they force.
-    Threads that first read a row at once may each build it; the rows
-    they build are equal, and one is kept.  Once every row is built, the
-    sequence lets go of ``build`` and of all it holds.
+    ``build(i)`` makes row i on the kernel's codomain, under the weight check in force when the
+    sequence was made.  Threads that first read a row at once may each build it; the rows they
+    build are equal, and one is kept.  Once every row is built, the sequence lets go of ``build``
+    and of all it holds.
     """
 
     __slots__ = ("_build", "_rows", "_unbuilt", "_validate")
@@ -565,9 +597,7 @@ class LazyRows:
     def __len__(self) -> int:
         return len(self._rows)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(self[j] for j in range(*i.indices(len(self))))
+    def _read(self, i: int) -> Dist:
         build = self._build  # read before the row: it is None only once every row is built
         row = self._rows[i]
         if row is None:
@@ -582,25 +612,12 @@ class LazyRows:
                 self._build = None
         return row
 
-    def __iter__(self) -> Iterator[Dist]:
-        # not the default iteration by index, which would end quietly on an IndexError from a build
-        return map(self.__getitem__, range(len(self)))
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, (tuple, LazyRows)):
-            return NotImplemented
-        return tuple(self) == tuple(other)
+class PointRows(Rows):
+    """Row i of a deterministic kernel: the point mass at ``codomain.elements[targets[i]]``, built once per target.
 
-    def __hash__(self) -> int:
-        return hash(tuple(self))
-
-
-class PointRows(LazyRows):
-    """The rows of a deterministic kernel: row i is the point mass at ``codomain.elements[targets[i]]``.
-
-    A read returns its target's one shared point mass; two ``PointRows`` compare by
-    codomain and targets, building no row. ``steps``, if given, fold each word
-    s_1 .. s_K of dom = Y^K to its target r_K: r_0 = 0, r_j = steps[j-1][r_(j-1)][s_j].
+    Two ``PointRows`` compare by codomain and targets.  ``steps``, if given, fold each word s_1 .. s_K
+    of dom = Y^K to its target: r_0 = 0, r_j = steps[j-1][r_(j-1)][s_j], targets[word] = r_K.
     """
 
     __slots__ = ("codomain", "targets", "steps", "_points")
@@ -611,9 +628,7 @@ class PointRows(LazyRows):
     def __len__(self) -> int:
         return len(self.targets)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return super().__getitem__(i)
+    def _read(self, i: int) -> Dist:
         t = self.targets[i]
         row = self._points.get(t)
         if row is None:
@@ -625,23 +640,21 @@ class PointRows(LazyRows):
             return self.codomain == other.codomain and self.targets == other.targets
         return super().__eq__(other)
 
-    __hash__ = LazyRows.__hash__
+    __hash__ = Rows.__hash__
 
 
 class ProductRows(LazyRows):
-    """The rows of a tensor or a power, held by their factor rows ``parts`` until read.
+    """A tensor's or a power's rows, held by their factor rows ``parts``, each built on its first read.
 
-    Row i is the product of one row of each part, picked by the digits of
-    ``words[i]`` in the radices of the parts, on a codomain whose last
-    factor has ``radix`` elements. A power builds each row on its first
-    read, a tensor (``whole``) all rows at the first read.
+    Row i multiplies one row per part, picked by the digits of ``words[i]`` in the parts' radices,
+    on a codomain whose last factor has ``radix`` elements.
     """
 
     __slots__ = ("codomain", "radix", "parts", "words")
 
-    def __init__(self, codomain: FinSet, radix: int, parts: tuple, words: Sequence[int], whole: bool = False) -> None:
+    def __init__(self, codomain: FinSet, radix: int, parts: tuple, words: Sequence[int]) -> None:
         self.codomain, self.radix, self.parts, self.words = codomain, radix, parts, words
-        super().__init__(len(words), self._build_all if whole else lambda i: _row(codomain, *self.expand(i)))
+        super().__init__(len(words), lambda i: _row(codomain, *self.expand(i)))
 
     def letters(self, i: int) -> tuple[int, ...]:
         w, out = self.words[i], []
@@ -651,17 +664,8 @@ class ProductRows(LazyRows):
         return tuple(reversed(out))
 
     def expand(self, i: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+        """Row i's positions, numerators and denominator, from the parts."""
         return _expand([part[x] for part, x in zip(self.parts, self.letters(i))], self.radix)
-
-    def expanded(self) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], int]]:
-        """Every row's expansion, in order; over every word, straight from the parts."""
-        if isinstance(self.words, range):
-            return (_expand(rows, self.radix) for rows in itertools.product(*self.parts))
-        return map(self.expand, range(len(self)))
-
-    def _build_all(self, i: int) -> Dist:
-        self._rows[:], self._unbuilt = (_row(self.codomain, *e) for e in self.expanded()), 0
-        return self._rows[i]
 
 
 class Kernel(Frozen):
@@ -669,15 +673,15 @@ class Kernel(Frozen):
 
     domain: FinSet
     codomain: FinSet
-    rows: tuple[Dist, ...] | LazyRows
+    rows: tuple[Dist, ...] | Rows
 
-    def __init__(self, domain: FinSet, codomain: FinSet, rows: tuple[Dist, ...] | LazyRows) -> None:
+    def __init__(self, domain: FinSet, codomain: FinSet, rows: tuple[Dist, ...] | Rows) -> None:
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "codomain", codomain)
         object.__setattr__(self, "rows", rows)
         if len(rows) != len(domain):
             raise ValueError("need exactly one row per domain element")
-        if isinstance(rows, LazyRows):
+        if isinstance(rows, Rows):
             return  # built on the codomain by construction
         for row in rows:
             if row.carrier != codomain:
@@ -688,6 +692,13 @@ class Kernel(Frozen):
 
     def is_point_masses(self) -> bool:
         return isinstance(self.rows, PointRows) or all(row.is_point_mass() for row in self.rows)
+
+    @cached_field
+    def _hash(self) -> int:  # kept: a builder cache hashes its kernel argument on every call
+        return Frozen.__hash__(self)
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __repr__(self) -> str:
         return f"Kernel({len(self.domain)}->{len(self.codomain)})"
@@ -734,7 +745,8 @@ def kernel_compose(g: Kernel, f: Kernel) -> Kernel:
     elif isinstance(g_rows, PointRows):
         if isinstance(f_rows, ProductRows) and g_rows.steps is not None and len(g_rows.steps) == len(f_rows.parts):
             return Kernel(f.domain, cod, _fold_rows(cod, g_rows.steps, f_rows))
-        terms = f_rows.expanded() if isinstance(f_rows, ProductRows) else ((r.indices, r.nums, r.den) for r in f_rows)
+        product = isinstance(f_rows, ProductRows)
+        terms = map(f_rows.expand, range(len(f_rows))) if product else ((r.indices, r.nums, r.den) for r in f_rows)
         relabel = g_rows.targets.__getitem__
         rows = tuple(_row(cod, *_tally(zip(map(relabel, p), v)), d) for p, v, d in terms)
     else:
@@ -749,8 +761,7 @@ def _fold_rows(cod: FinSet, steps: tuple, product: ProductRows) -> tuple[Dist, .
     def after(prefix: tuple[int, ...]) -> tuple[dict[int, int], int]:
         if not prefix:
             return {0: 1}, 1
-        sums, den = after(prefix[:-1])
-        j = len(prefix) - 1
+        (sums, den), j = after(prefix[:-1]), len(prefix) - 1
         row, step, out = product.parts[j][prefix[j]], steps[j], {}
         for r, v in sums.items():
             for t, u in zip(map(step[r].__getitem__, row.indices), row.nums):
@@ -766,14 +777,7 @@ def kernel_compose_all(*ks: Kernel) -> Kernel:
     Folding from the right lets a deterministic map on the right pick the
     rows of the kernels to its left before anything composes over them all.
     """
-    f, rest = ks[-1], list(ks[:-1])
-    while rest:
-        g = rest.pop()
-        if not isinstance(f.rows, PointRows):  # a run of deterministic maps composes first, then relabels f once
-            while rest and isinstance(g.rows, PointRows) and isinstance(rest[-1].rows, PointRows):
-                g = kernel_compose(rest.pop(), g)
-        f = kernel_compose(g, f)
-    return f
+    return reduce(lambda f, g: kernel_compose(g, f), reversed(ks))
 
 
 def kernel_tensor(f: Kernel, g: Kernel) -> Kernel:
@@ -783,7 +787,7 @@ def kernel_tensor(f: Kernel, g: Kernel) -> Kernel:
     n = len(g.codomain)
     if isinstance(f.rows, PointRows) and isinstance(g.rows, PointRows):
         return Kernel(dom, cod, PointRows(cod, tuple(_radix((f.rows.targets, g.rows.targets), n))))
-    return Kernel(dom, cod, ProductRows(cod, n, (f.rows, g.rows), range(len(dom)), whole=True))
+    return Kernel(dom, cod, ProductRows(cod, n, (f.rows, g.rows), range(len(dom))))
 
 
 def kernel_power(f: Kernel, K: int) -> Kernel:

@@ -15,11 +15,10 @@ canonical representative tuple, and the fact that this is well defined
 is checked by the law suite rather than assumed.  Maps *into* ``M[K](X)``
 find a count vector's position through ``add_table`` or :func:`multiset_index`.
 
-arr, Flrn, coordinate sampling, uniform deletion and DD are relative
+Flrn, coordinate sampling, uniform deletion and DD are relative
 frequencies of bags (``core.frequency_kernel``): no builder computes
-weights, and their bags name carrier positions.  arr is the relative
-frequency of its ``acc`` fibre, the words with the multiset's count
-vector.
+weights, and their bags name carrier positions.  arr is uniform on its
+``acc`` fibre, the words with the multiset's count vector.
 """
 
 from __future__ import annotations
@@ -34,9 +33,11 @@ from .core import (
     Frozen,
     Kernel,
     Label,
+    LazyRows,
     PointRows,
     _guard_length,
     _guard_size,
+    _row,
     cache,
     frequency_kernel,
     index_map_kernel,
@@ -203,7 +204,8 @@ def arr_kernel(X: FinSet, K: int) -> Kernel:
     fibres: list[list[int]] = [[] for _ in range(len(M))]
     for w, m in enumerate(sum_rows(M, len(X), K, 1).targets):
         fibres[m].append(w)
-    return frequency_kernel(M, P, lambda i: zip(fibres[i], itertools.repeat(1)))
+    # a fibre's words are distinct and ascending, so its uniform row has no bag to tally
+    return Kernel(M, P, LazyRows(len(M), lambda i: _row(P, tuple(fibres[i]), (1,) * len(fibres[i]), len(fibres[i]))))
 
 
 @cache

@@ -421,9 +421,10 @@ def test_deterministic_map_after_a_product_relabels_its_factors(data):
     for product in (kernel_tensor(f, h), kernel_power(f, K)):
         g = random_map(product.codomain)
         assert kernel_compose(g, product) == kernel_compose(g, listed(product))
-        # a run of two deterministic maps composes first, then relabels the factors once
+        # two deterministic maps composed first relabel the factors once, as mzip's acc and zip do
         swap = index_map_kernel(Z, Z, lambda z: len(Z) - 1 - z)
-        assert kernel_compose_all(swap, g, product) == kernel_compose(swap, kernel_compose(g, listed(product)))
+        both = kernel_compose(swap, g)
+        assert kernel_compose(both, product) == kernel_compose(swap, kernel_compose(g, listed(product)))
 
 
 def count_sum(n, vectors):
