@@ -50,14 +50,11 @@ ONE = Fraction(1)
 # The carrier ceiling of the law grid and of every CLI command.
 DEFAULT_CARRIER_LIMIT = 20000
 
-# Optional ceiling on carrier sizes, used by the law runner to skip
-# instances that would blow up and by the CLI to refuse oversized
-# queries; None means unlimited.
-_CARRIER_LIMIT: ContextVar[int | None] = ContextVar("finstoch_carrier_limit", default=None)
-
-# Row-sum validation switch.  Only ever disabled by mutation tests that
-# need to push deliberately broken kernels through the law checks.
-_VALIDATE_WEIGHTS: ContextVar[bool] = ContextVar("finstoch_validate_weights", default=True)
+# The settings every builder cache is keyed by, as one (ceiling, check) pair: the ceiling on
+# carrier sizes (None means unlimited), which the law runner uses to skip instances that would
+# blow up and the CLI to refuse oversized queries, and the row-sum check, only ever turned off by
+# mutation tests that push deliberately broken kernels through the law checks.
+_SETTINGS: ContextVar[tuple[int | None, bool]] = ContextVar("finstoch_settings", default=(None, True))
 
 
 class CarrierTooLarge(Exception):
@@ -66,51 +63,51 @@ class CarrierTooLarge(Exception):
 
 @contextmanager
 def carrier_limit(max_elements: int | None) -> Iterator[None]:
-    """Bound the size of carriers constructed inside the block.
+    """Bound the size of carriers constructed inside the block; the weight check stays as it was on entry.
 
     Builder caches are keyed by the ceiling, so a carrier is checked once, when it is built.
     """
-    token = _CARRIER_LIMIT.set(max_elements)
+    token = _SETTINGS.set((max_elements, _SETTINGS.get()[1]))
     try:
         yield
     finally:
-        _CARRIER_LIMIT.reset(token)
+        _SETTINGS.reset(token)
 
 
 @contextmanager
 def unchecked_weights() -> Iterator[None]:
-    """Suspend row-sum validation inside the block (testing seam).
+    """Suspend row-sum validation inside the block (testing seam); the ceiling stays as it was on entry.
 
     Builder caches are keyed by this setting: a kernel built inside is never returned outside.
     """
-    token = _VALIDATE_WEIGHTS.set(False)
+    token = _SETTINGS.set((_SETTINGS.get()[0], False))
     try:
         yield
     finally:
-        _VALIDATE_WEIGHTS.reset(token)
+        _SETTINGS.reset(token)
 
 
 def cache(fn: Callable) -> Callable:
-    """``functools.cache``, keyed also by the carrier ceiling and the weight check in force."""
-    keyed = functools.cache(lambda limit, validate, *args, **kwargs: fn(*args, **kwargs))
+    """``functools.cache``, keyed also by the settings in force: the carrier ceiling and the weight check."""
+    keyed = functools.cache(lambda settings, *args: fn(*args))
 
     @functools.wraps(fn)
-    def cached(*args, **kwargs):
-        return keyed(_CARRIER_LIMIT.get(), _VALIDATE_WEIGHTS.get(), *args, **kwargs)
+    def cached(*args):
+        return keyed(_SETTINGS.get(), *args)
 
     cached.cache_info, cached.cache_clear = keyed.cache_info, keyed.cache_clear
     return cached
 
 
 def _guard_size(n: int) -> None:
-    limit = _CARRIER_LIMIT.get()
+    limit = _SETTINGS.get()[0]
     if limit is not None and n > limit:
         raise CarrierTooLarge(f"carrier with {n} elements exceeds limit {limit}")
 
 
 def _guard_length(K: int) -> None:
     # over one colour, K-tuples and size-K multisets have a one-element carrier
-    limit = _CARRIER_LIMIT.get()
+    limit = _SETTINGS.get()[0]
     if limit is not None and K > limit:
         raise CarrierTooLarge(f"length {K} exceeds limit {limit}")
 
@@ -135,7 +132,9 @@ class Frozen:
     ``__dict__`` it keeps the instance's compact attribute storage.
     ``==`` and ``hash`` are derived, as a dataclass derives them, from
     the fields the class annotates, in declared order: two values are
-    equal when they have the same class and equal fields.
+    equal when they have the same class and equal fields.  A value
+    hashes once, since every builder cache hashes its arguments on every
+    call.
     """
 
     __slots__ = ()
@@ -152,8 +151,12 @@ class Frozen:
         key = self._key
         return key(self) == key(other)
 
-    def __hash__(self) -> int:
+    @cached_field
+    def _hash(self) -> int:
         return hash(self._key(self))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -230,12 +233,7 @@ class FinSet(Frozen):
     def index(self) -> dict[Label, int]:
         return {x: i for i, x in enumerate(self.elements)}
 
-    @cached_field
-    def _hash(self) -> int:
-        return hash((self.elements,))
-
-    def __hash__(self) -> int:
-        return self._hash
+    __hash__ = Frozen.__hash__  # defining __eq__ would otherwise drop it
 
     def __len__(self) -> int:
         return self._size
@@ -370,7 +368,7 @@ class Dist(Frozen):
         if g != 1:
             den //= g
             nums = tuple(n // g for n in nums)
-        if _VALIDATE_WEIGHTS.get():
+        if _SETTINGS.get()[1]:
             if nums and min(nums) < 0:
                 raise ValueError("negative weight in distribution")
             if sum(nums) != den:
@@ -580,19 +578,19 @@ class Rows:
 class LazyRows(Rows):
     """Kernel rows built on first use, each at most once.
 
-    ``build(i)`` makes row i on the kernel's codomain, under the weight check in force when the
+    ``build(i)`` makes row i on the kernel's codomain, under the settings in force when the
     sequence was made.  Threads that first read a row at once may each build it; the rows they
     build are equal, and one is kept.  Once every row is built, the sequence lets go of ``build``
     and of all it holds.
     """
 
-    __slots__ = ("_build", "_rows", "_unbuilt", "_validate")
+    __slots__ = ("_build", "_rows", "_unbuilt", "_settings")
 
     def __init__(self, n: int, build: Callable[[int], Dist]) -> None:
         self._build: Callable[[int], Dist] | None = build
         self._rows: list[Dist | None] = [None] * n
         self._unbuilt = n
-        self._validate = _VALIDATE_WEIGHTS.get()
+        self._settings = _SETTINGS.get()
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -601,11 +599,11 @@ class LazyRows(Rows):
         build = self._build  # read before the row: it is None only once every row is built
         row = self._rows[i]
         if row is None:
-            token = _VALIDATE_WEIGHTS.set(self._validate)
+            token = _SETTINGS.set(self._settings)
             try:
                 row = self._rows[i] = build(i % len(self._rows))
             finally:
-                _VALIDATE_WEIGHTS.reset(token)
+                _SETTINGS.reset(token)
             self._unbuilt -= 1
             # a row two threads build at once counts twice; a scan by identity, calling no __eq__, is proof
             if self._unbuilt <= 0 and all(r is not None for r in self._rows):
@@ -692,13 +690,6 @@ class Kernel(Frozen):
 
     def is_point_masses(self) -> bool:
         return isinstance(self.rows, PointRows) or all(row.is_point_mass() for row in self.rows)
-
-    @cached_field
-    def _hash(self) -> int:  # kept: a builder cache hashes its kernel argument on every call
-        return Frozen.__hash__(self)
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __repr__(self) -> str:
         return f"Kernel({len(self.domain)}->{len(self.codomain)})"

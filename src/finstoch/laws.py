@@ -15,6 +15,8 @@ catch it.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 import time
 from dataclasses import asdict, dataclass, fields
@@ -44,7 +46,6 @@ from .core import (
     is_deterministic,
     kernel_compose,
     kernel_compose_all,
-    kernel_equal,
     kernel_power,
     kernel_tensor,
     make_finset,
@@ -288,12 +289,6 @@ def law_by_id(law_id: str) -> Law:
         raise KeyError(f"unknown law id {law_id!r}") from None
 
 
-def _check_eq(lhs, rhs) -> bool:
-    if isinstance(lhs, Kernel) and isinstance(rhs, Kernel):
-        return kernel_equal(lhs, rhs)
-    return lhs == rhs
-
-
 # Shared small constructions --------------------------------------------------
 
 
@@ -337,20 +332,10 @@ def _msplit_inv_composite(X: FinSet, Y: FinSet, K: int) -> Kernel:
 
 
 def _fractional_composite(nums: tuple[int, ...]) -> Kernel:
-    total = sum(nums)
-    bounds = []
-    acc = 0
-    for v in nums:
-        acc += v
-        bounds.append(acc)
-
-    def block(i: int) -> int:
-        for b, bound in enumerate(bounds):
-            if i < bound:
-                return b
-        raise AssertionError
-
-    collapse = index_map_kernel(number_finset(total), number_finset(len(nums)), block)
+    """The uniform state on the total, each outcome collapsed to the block of ``nums`` it falls in."""
+    bounds = tuple(itertools.accumulate(nums))
+    total = bounds[-1]
+    collapse = index_map_kernel(number_finset(total), number_finset(len(nums)), lambda i: bisect.bisect_right(bounds, i))
     return kernel_compose(collapse, state_kernel(uniform_state(total)))
 
 
@@ -1356,7 +1341,7 @@ def _run_law(law: Law, grid: GridSpec) -> LawResult:
             continue
         checks = result if isinstance(result, list) else [result]
         instances += 1
-        if all(_check_eq(lhs, rhs) for lhs, rhs in checks):
+        if all(lhs == rhs for lhs, rhs in checks):
             passes += 1
         else:
             failures.append(inst.describe())

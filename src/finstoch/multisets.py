@@ -62,10 +62,6 @@ class Multiset(Frozen):
             raise ValueError("counts must be nonnegative")
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "_hash", hash((base, counts)))  # hashed once, here
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @property
     def size(self) -> int:

@@ -23,6 +23,8 @@ class FormatError(ValueError):
 
 
 def parse_fraction(text: str) -> Fraction:
+    if "e" in text.lower():  # Fraction would compute 10**exponent, however many digits that takes
+        raise FormatError(f"bad rational {text!r}: exponents are not accepted, write num/den")
     try:
         value = Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:

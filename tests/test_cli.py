@@ -4,6 +4,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import asdict
 from fractions import Fraction as F
@@ -51,6 +52,13 @@ class TestMultinomial:
         code, _, err = run_cli(capsys, "multinomial", "--dist", "a:1/2,b:1/3", "--k", "2")
         assert code == 2
         assert "error" in err
+
+    def test_exponent_weight_exits_2_at_once(self, capsys):
+        started = time.perf_counter()
+        code, out, err = run_cli(capsys, "multinomial", "--dist", "a:1e99999999", "--k", "1")
+        assert time.perf_counter() - started < 1
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and "bad rational" in err
 
     def test_json_output(self, capsys):
         code, out, _ = run_cli(

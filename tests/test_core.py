@@ -1018,6 +1018,22 @@ class TestBuilderCaches:
         with pytest.raises(ValueError):
             multinomial_kernel(heavy, 2)
 
+    def test_weight_check_off_keeps_the_ceiling(self):
+        with carrier_limit(100), unchecked_weights():
+            with pytest.raises(CarrierTooLarge):
+                acc_kernel(ABC, 5)
+
+    def test_ceiling_keeps_the_weight_check_off(self):
+        with unchecked_weights(), carrier_limit(100):
+            assert Dist(AB, (("a", F(2)),)).nums == (2,)  # row weighs 2
+
+    def test_ceiling_reads_the_weight_check_when_entered(self):
+        limit = carrier_limit(100)  # made while the check is on
+        with unchecked_weights(), limit:
+            assert Dist(AB, (("a", F(2)),)).nums == (2,)
+            with pytest.raises(CarrierTooLarge):
+                acc_kernel(ABC, 5)
+
 
 class TestKernelEqual:
     def test_reflexive(self):

@@ -48,6 +48,16 @@ class TestParseDist:
             parse_dist("a:one")
 
 
+    def test_rejects_exponents_at_once(self):
+        # Fraction would compute 10**99999999 before any check
+        for text in ("a:1e99999999", "a:1e-99999999,b:1", "a:1E5"):
+            with pytest.raises(FormatError, match="bad rational"):
+                parse_dist(text)
+
+    def test_plain_decimals_still_parse(self):
+        assert parse_dist("a:0.25,b:3/4").weights == (F(1, 4), F(3, 4))
+
+
 class TestParseUrn:
     def test_basic(self):
         urn = parse_urn("a:2,b:1")
