@@ -9,7 +9,7 @@ numerators over one ``int`` denominator, so composition, tensor, power
 and convex sums run on integers keyed by index and every equality test
 in the suite is exact; labels and :class:`fractions.Fraction` weights
 appear only where rows are built from or read as (label, weight) pairs,
-and in :func:`kernel_from_function`, kept for :mod:`finstoch.split`.
+and in :func:`kernel_from_function`, a public constructor no builder calls.
 The uniform draws are relative frequencies of bags of outcomes
 (:func:`frequency_kernel`): their builders compute no weights.  A
 tensor or a power holds its rows by its factors (:class:`ProductRows`),
@@ -306,24 +306,6 @@ def word_position(letters: Iterable[int], n: int) -> int:
     for letter in letters:
         position = position * n + letter
     return position
-
-
-def tuple_of(K: int, x: Label) -> tuple[Label, ...]:
-    """View an element of X^K as a K-tuple of labels."""
-    if K == 0:
-        return ()
-    if K == 1:
-        return (x,)
-    return x  # type: ignore[return-value]
-
-
-def untuple(K: int, coords: Sequence[Label]) -> Label:
-    """Inverse of :func:`tuple_of`: pack K coordinates into an X^K element."""
-    if K == 0:
-        return ()
-    if K == 1:
-        return coords[0]
-    return tuple(coords)
 
 
 class Dist(Frozen):

@@ -96,7 +96,7 @@ class Multiset(Frozen):
 
 
 def acc_of_seq(X: FinSet, seq: Sequence[Label]) -> Multiset:
-    """Count the occurrences of each base element in the sequence."""
+    """Count each base element's occurrences in a sequence of labels: a label-level reference no builder calls."""
     counts = [0] * len(X)
     for x in seq:
         counts[X.index[x]] += 1

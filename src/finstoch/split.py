@@ -9,6 +9,10 @@ concrete bijection.  Collapsing the pattern information accumulates the
 two halves and yields the multiset split isomorphism
 
     M[K](X + Y)  ~=  (+)_i  M[i](X) (x) M[K-i](Y).
+
+The builders work on positions: a word's letters through ``word_letters``
+and ``word_position`` (a letter below ``|X|`` is from ``X``, listed first),
+a block by its offset, a multiset by its count vector (``multiset_index``).
 """
 
 from __future__ import annotations
@@ -18,18 +22,16 @@ import itertools
 from .core import (
     FinSet,
     Kernel,
-    Label,
     PointRows,
-    Tagged,
     cache,
     coproduct_finset,
-    kernel_from_function,
+    index_map_kernel,
     power_finset,
     tensor_finset,
-    tuple_of,
-    untuple,
+    word_letters,
+    word_position,
 )
-from .multisets import acc_of_seq, count_vectors, multiset_index, multiset_space
+from .multisets import count_vectors, multiset_index, multiset_space
 
 
 @cache
@@ -53,38 +55,34 @@ def lsplit_space(X: FinSet, Y: FinSet, K: int) -> FinSet:
 @cache
 def lsplit_kernel(X: FinSet, Y: FinSet, K: int) -> Kernel:
     """Classify a sequence over X + Y by part size, pattern, and subsequences."""
-    XY = coproduct_finset((X, Y))
-    dom = power_finset(XY, K)
-    cod = lsplit_space(X, Y, K)
+    n, m = len(X), len(Y)
+    ranks = [{bits: j for j, bits in enumerate(patterns(K, i))} for i in range(K + 1)]
+    sizes = [n**i * m ** (K - i) for i in range(K + 1)]
+    starts = tuple(itertools.accumulate((len(r) * s for r, s in zip(ranks, sizes)), initial=0))
 
-    def split(t: Label) -> Label:
-        coords = tuple_of(K, t)
-        bits = tuple(1 if c.tag == 0 else 0 for c in coords)
+    def split(p: int) -> int:
+        letters = word_letters(p, n + m, K)
+        bits = tuple(int(a < n) for a in letters)
         i = sum(bits)
-        j = patterns(K, i).index(bits)
-        xs = tuple(c.value for c in coords if c.tag == 0)
-        ys = tuple(c.value for c in coords if c.tag == 1)
-        return Tagged(i, Tagged(j, (untuple(i, xs), untuple(K - i, ys))))
+        xs = word_position((a for a in letters if a < n), n)
+        ys = word_position((a - n for a in letters if a >= n), m)
+        return starts[i] + ranks[i][bits] * sizes[i] + xs * m ** (K - i) + ys
 
-    return kernel_from_function(dom, cod, split)
+    return index_map_kernel(power_finset(coproduct_finset((X, Y)), K), lsplit_space(X, Y, K), split)
 
 
 @cache
 def lsplit_inv_kernel(X: FinSet, Y: FinSet, K: int) -> Kernel:
     """Reconstitute the interleaved sequence from part size, pattern, and halves."""
-    XY = coproduct_finset((X, Y))
-    dom = lsplit_space(X, Y, K)
-    cod = power_finset(XY, K)
-
-    def weave(z: Label) -> Label:
-        i, inner = z.tag, z.value
-        bits = patterns(K, i)[inner.tag]
-        xs = list(tuple_of(i, inner.value[0]))
-        ys = list(tuple_of(K - i, inner.value[1]))
-        coords = tuple(Tagged(0, xs.pop(0)) if b else Tagged(1, ys.pop(0)) for b in bits)
-        return untuple(K, coords)
-
-    return kernel_from_function(dom, cod, weave)
+    n, m = len(X), len(Y)
+    dom, cod = lsplit_space(X, Y, K), power_finset(coproduct_finset((X, Y)), K)
+    targets = []
+    for i in range(K + 1):
+        for bits in patterns(K, i):
+            for x, y in itertools.product(range(n**i), range(m ** (K - i))):
+                xs, ys = iter(word_letters(x, n, i)), iter(word_letters(y, m, K - i))
+                targets.append(word_position((next(xs) if b else n + next(ys) for b in bits), n + m))
+    return Kernel(dom, cod, PointRows(cod, tuple(targets)))
 
 
 @cache
@@ -98,15 +96,19 @@ def msplit_space(X: FinSet, Y: FinSet, K: int) -> FinSet:
 @cache
 def accs_kernel(X: FinSet, Y: FinSet, K: int) -> Kernel:
     """Accumulate both halves of every split block, forgetting the pattern."""
-    dom = lsplit_space(X, Y, K)
-    cod = msplit_space(X, Y, K)
+    dom, cod = lsplit_space(X, Y, K), msplit_space(X, Y, K)
 
-    def accumulate(z: Label) -> Label:
-        i, inner = z.tag, z.value
-        xs, ys = inner.value
-        return Tagged(i, (acc_of_seq(X, tuple_of(i, xs)), acc_of_seq(Y, tuple_of(K - i, ys))))
+    def positions(Z: FinSet, k: int) -> list[int]:
+        # the M[k](Z) position of each word of Z^k, from the count of each letter in it
+        rank, n = multiset_index(Z, k), len(Z)
+        return [rank[tuple(map(word_letters(w, n, k).count, range(n)))] for w in range(n**k)]
 
-    return kernel_from_function(dom, cod, accumulate)
+    targets, start = [], 0
+    for i in range(K + 1):
+        xs, ys, width = positions(X, i), positions(Y, K - i), len(multiset_index(Y, K - i))
+        targets += [start + x * width + y for x in xs for y in ys] * len(patterns(K, i))
+        start += len(multiset_index(X, i)) * width
+    return Kernel(dom, cod, PointRows(cod, tuple(targets)))
 
 
 @cache
@@ -136,5 +138,6 @@ def msplit_inv_kernel(X: FinSet, Y: FinSet, K: int) -> Kernel:
     """Merge an (X part, Y part) pair back into one multiset over X + Y."""
     XY = coproduct_finset((X, Y))
     dom, cod = msplit_space(X, Y, K), multiset_space(XY, K)
-    rank = multiset_index(XY, K)
-    return Kernel(dom, cod, PointRows(cod, tuple(rank[mx.counts + my.counts] for mx, my in (z.value for z in dom))))
+    rank, n, m = multiset_index(XY, K), len(X), len(Y)
+    targets = (rank[vx + vy] for i in range(K + 1) for vx in count_vectors(n, i) for vy in count_vectors(m, K - i))
+    return Kernel(dom, cod, PointRows(cod, tuple(targets)))

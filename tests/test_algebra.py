@@ -33,7 +33,8 @@ from finstoch import (
     zip_iso,
 )
 from finstoch import multisets
-from finstoch.core import FinSet, Permutation, tuple_of, untuple
+from finstoch.core import FinSet, Permutation
+from label_tuples import tuple_of, untuple
 
 AB = make_finset(["a", "b"])
 CD = make_finset(["c", "d"])

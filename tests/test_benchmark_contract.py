@@ -9,7 +9,10 @@ alone, and this is why it stays:
 * ``multisets._multiset_space_cached``: the tracer reads the hits and
   misses of ``multiset_space`` under that alias;
 * the grid caps (``kl_cap``, ``k_plus_l_cap``, ``kln_cap``): the pinned
-  law grid sets them, so ``GridSpec`` keeps them as fields.
+  law grid sets them, so ``GridSpec`` keeps them as fields;
+* ``core.kernel_from_function``: the tracer's ``TRACED`` table names it,
+  so it stays in ``core`` (and exported from ``finstoch``) though no
+  builder calls it.
 
 The last test runs the pinned law grid once with the tracer installed,
 as ``perfbench/run.py --workload law-grid --trace 1`` does.

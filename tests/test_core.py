@@ -59,13 +59,12 @@ from finstoch.core import (
     Kernel,
     PointRows,
     frequency_kernel,
-    tuple_of,
     unchecked_weights,
-    untuple,
     word_letters,
     word_position,
 )
 from finstoch.multisets import Multiset, flrn_kernel, multiset_space
+from label_tuples import tuple_of, untuple
 
 AB = make_finset(["a", "b"])
 ABC = make_finset(["a", "b", "c"])

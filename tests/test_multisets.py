@@ -35,8 +35,9 @@ from finstoch import (
     reindex_kernel,
     section_kernel,
 )
-from finstoch.core import CarrierTooLarge, Dist, Kernel, carrier_limit, kernel_from_function, tuple_of, untuple
+from finstoch.core import CarrierTooLarge, Dist, Kernel, carrier_limit, kernel_from_function
 from finstoch.multisets import count_vectors, multiset_index
+from label_tuples import tuple_of, untuple
 
 AB = make_finset(["a", "b"])
 ABC = make_finset(["a", "b", "c"])

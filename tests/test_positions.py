@@ -2,9 +2,10 @@
 
 acc, arr, perm, zip, mu, msum, ksum, msplit and its inverse find their
 targets from count vectors and mixed-radix positions; projection,
-permutation, swap, coprojection, copy, drop, del and epsilon read and
-write the positions of words through ``word_letters`` and
-``word_position``; the multinomial and hypergeometric closed forms
+permutation, swap, coprojection, copy, drop, del, epsilon, the list
+split and its inverse read and write the positions of words through
+``word_letters`` and ``word_position``, and accs counts their letters;
+the multinomial and hypergeometric closed forms
 compute ``int`` numerators on count vectors.  Each twin below builds
 the same kernel the label way: it makes every multiset or tuple and
 looks it up in the codomain.  The twins use next-permutation for the
@@ -32,6 +33,7 @@ from finstoch import (
     Tagged,
     acc_kernel,
     acc_of_seq,
+    accs_kernel,
     arr_kernel,
     copy_kernel,
     coprojection_kernel,
@@ -46,6 +48,8 @@ from finstoch import (
     kernel_power,
     kernel_tensor,
     ksum_kernel,
+    lsplit_inv_kernel,
+    lsplit_kernel,
     make_finset,
     msplit_inv_kernel,
     msplit_kernel,
@@ -67,9 +71,11 @@ from finstoch import (
     zip_iso,
 )
 from finstoch import multisets
-from finstoch.core import Dist, Kernel, all_permutations, index_map_kernel, tuple_of, untuple, word_letters
+from finstoch.core import Dist, FinSet, Kernel, all_permutations, cached_field, index_map_kernel, word_letters
 from finstoch.laws import KERNEL_KINDS, GridSpec, make_kernel, run_laws
 from finstoch.multisets import add_table, count_vectors, drop_kernel, multichoose, section_kernel
+from finstoch.split import lsplit_space, patterns
+from label_tuples import tuple_of, untuple
 
 BASES = [make_finset("abc"[:n]) for n in range(4)]
 OTHERS = [make_finset("xyz"[:n]) for n in range(4)]
@@ -150,6 +156,37 @@ def eager_msplit_inv(X, Y, K):
         return Multiset(XY, mx.counts + my.counts)
 
     return kernel_from_function(msplit_space(X, Y, K), multiset_space(XY, K), merge)
+
+
+def eager_lsplit(X, Y, K):
+    def split(t):
+        coords = tuple_of(K, t)
+        bits = tuple(1 if c.tag == 0 else 0 for c in coords)
+        i = sum(bits)
+        xs = tuple(c.value for c in coords if c.tag == 0)
+        ys = tuple(c.value for c in coords if c.tag == 1)
+        return Tagged(i, Tagged(patterns(K, i).index(bits), (untuple(i, xs), untuple(K - i, ys))))
+
+    return kernel_from_function(power_finset(coproduct_finset((X, Y)), K), lsplit_space(X, Y, K), split)
+
+
+def eager_lsplit_inv(X, Y, K):
+    def weave(z):
+        i, inner = z.tag, z.value
+        xs = list(tuple_of(i, inner.value[0]))
+        ys = list(tuple_of(K - i, inner.value[1]))
+        coords = tuple(Tagged(0, xs.pop(0)) if b else Tagged(1, ys.pop(0)) for b in patterns(K, i)[inner.tag])
+        return untuple(K, coords)
+
+    return kernel_from_function(lsplit_space(X, Y, K), power_finset(coproduct_finset((X, Y)), K), weave)
+
+
+def eager_accs(X, Y, K):
+    def accumulate(z):
+        i, (xs, ys) = z.tag, z.value.value
+        return Tagged(i, (acc_of_seq(X, tuple_of(i, xs)), acc_of_seq(Y, tuple_of(K - i, ys))))
+
+    return kernel_from_function(lsplit_space(X, Y, K), msplit_space(X, Y, K), accumulate)
 
 
 def eager_msum(X, K, L):
@@ -307,6 +344,27 @@ def test_zip_and_msplit_match_twins(X):
             assert kernel_equal(zip_iso(X, Y, K), eager_zip(X, Y, K)), (Y, K)
             assert kernel_equal(msplit_kernel(X, Y, K), eager_msplit(X, Y, K)), (Y, K)
             assert kernel_equal(msplit_inv_kernel(X, Y, K), eager_msplit_inv(X, Y, K)), (Y, K)
+            if len(Y) <= 2:
+                assert kernel_equal(lsplit_kernel(X, Y, K), eager_lsplit(X, Y, K)), (Y, K)
+                assert kernel_equal(lsplit_inv_kernel(X, Y, K), eager_lsplit_inv(X, Y, K)), (Y, K)
+                assert kernel_equal(accs_kernel(X, Y, K), eager_accs(X, Y, K)), (Y, K)
+
+
+def test_split_builders_read_no_carrier_index(monkeypatch, cold_caches):
+    # every target is found by arithmetic on positions, so no carrier builds its label-to-position dict
+    read = []
+    real = FinSet.__dict__["index"].fn
+
+    def index(carrier):
+        read.append(len(carrier))
+        return real(carrier)
+
+    monkeypatch.setattr(FinSet, "index", cached_field(index))
+    X, Y = make_finset("abc"), make_finset("xy")
+    for K in range(5):
+        for builder in (lsplit_kernel, lsplit_inv_kernel, accs_kernel, msplit_inv_kernel):
+            builder(X, Y, K)
+            assert read == [], (builder.__name__, K)
 
 
 @pytest.mark.parametrize("X", BASES, ids=len)
