@@ -102,7 +102,9 @@ def cache(fn: Callable) -> Callable:
 def _guard_size(n: int) -> None:
     limit = _SETTINGS.get()[0]
     if limit is not None and n > limit:
-        raise CarrierTooLarge(f"carrier with {n} elements exceeds limit {limit}")
+        # past Python's int-to-str limit (4,300 digits) a size is named by the power of two below it
+        size = n if n.bit_length() < 10000 else f"at least 2^{n.bit_length() - 1}"
+        raise CarrierTooLarge(f"carrier with {size} elements exceeds limit {limit}")
 
 
 def _guard_length(K: int) -> None:
@@ -132,9 +134,9 @@ class Frozen:
     ``__dict__`` it keeps the instance's compact attribute storage.
     ``==`` and ``hash`` are derived, as a dataclass derives them, from
     the fields the class annotates, in declared order: two values are
-    equal when they have the same class and equal fields.  A value
-    hashes once, since every builder cache hashes its arguments on every
-    call.
+    equal when they have the same class and equal fields, tested by
+    identity before ``==``.  A value hashes once, since every builder
+    cache hashes its arguments on every call.
     """
 
     __slots__ = ()
@@ -146,10 +148,13 @@ class Frozen:
             cls._key = operator.attrgetter(*fields)
 
     def __eq__(self, other: object) -> bool:
+        if self is other:  # identity first, then of the keys: a carrier sharing a label tuple walks no label
+            return True
         if other.__class__ is not self.__class__:
             return NotImplemented
         key = self._key
-        return key(self) == key(other)
+        mine, theirs = key(self), key(other)
+        return mine is theirs or mine == theirs
 
     @cached_field
     def _hash(self) -> int:
@@ -223,17 +228,9 @@ class FinSet(Frozen):
             held.pop("_build", None)
         return held["elements"]
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        # identity first: a carrier compared with itself must not list or walk its labels
-        return self is other or self.elements is other.elements or self.elements == other.elements
-
     @cached_field
     def index(self) -> dict[Label, int]:
         return {x: i for i, x in enumerate(self.elements)}
-
-    __hash__ = Frozen.__hash__  # defining __eq__ would otherwise drop it
 
     def __len__(self) -> int:
         return self._size
@@ -753,28 +750,23 @@ def kernel_compose_all(*ks: Kernel) -> Kernel:
     return reduce(lambda f, g: kernel_compose(g, f), reversed(ks))
 
 
+def _product(dom: FinSet, cod: FinSet, fs: Sequence[Kernel], n: int) -> Kernel:
+    """fs side by side, the last with n outcomes: index targets if all are deterministic, else rows held by theirs."""
+    if all(isinstance(f.rows, PointRows) for f in fs):
+        return Kernel(dom, cod, PointRows(cod, tuple(_radix([f.rows.targets for f in fs], n))))
+    return Kernel(dom, cod, ProductRows(cod, n, tuple(f.rows for f in fs), range(len(dom))))
+
+
 def kernel_tensor(f: Kernel, g: Kernel) -> Kernel:
-    """Parallel composition on row-major product carriers: index targets, or rows held by their factors."""
-    dom = tensor_finset(f.domain, g.domain)
-    cod = tensor_finset(f.codomain, g.codomain)
-    n = len(g.codomain)
-    if isinstance(f.rows, PointRows) and isinstance(g.rows, PointRows):
-        return Kernel(dom, cod, PointRows(cod, tuple(_radix((f.rows.targets, g.rows.targets), n))))
-    return Kernel(dom, cod, ProductRows(cod, n, (f.rows, g.rows), range(len(dom))))
+    """Parallel composition on row-major product carriers."""
+    return _product(tensor_finset(f.domain, g.domain), tensor_finset(f.codomain, g.codomain), (f, g), len(g.codomain))
 
 
 def kernel_power(f: Kernel, K: int) -> Kernel:
-    """K independent copies of f on power carriers: index targets if f is deterministic, else rows held by f's rows."""
-    if K < 0:
-        raise ValueError("power exponent must be nonnegative")
+    """K independent copies of f on power carriers; f^1 is f itself, f^0 the point map on the unit."""
     if K == 1:
         return f
-    dom = power_finset(f.domain, K)
-    cod = power_finset(f.codomain, K)
-    n = len(f.codomain)
-    if isinstance(f.rows, PointRows):
-        return Kernel(dom, cod, PointRows(cod, tuple(_radix((f.rows.targets,) * K, n))))
-    return Kernel(dom, cod, ProductRows(cod, n, (f.rows,) * K, range(len(dom))))
+    return _product(power_finset(f.domain, K), power_finset(f.codomain, K), (f,) * K, len(f.codomain))
 
 
 def cotuple(fs: Sequence[Kernel], codomain: FinSet | None = None) -> Kernel:

@@ -13,7 +13,8 @@ left fold of one-letter additions through :func:`add_table`; every map
 *out of* the quotient is built by sending each multiset through its
 canonical representative tuple, and the fact that this is well defined
 is checked by the law suite rather than assumed.  Maps *into* ``M[K](X)``
-find a count vector's position through ``add_table`` or :func:`multiset_index`.
+rank a count vector through :func:`multiset_index`, one table per base
+size and K, which ``add_table`` also reads.
 
 Flrn, coordinate sampling, uniform deletion and DD are relative
 frequencies of bags (``core.frequency_kernel``): no builder computes
@@ -154,15 +155,15 @@ _multiset_space_cached = multiset_space  # the name perfbench's tracer reads the
 
 
 @cache
-def multiset_index(X: FinSet, K: int) -> dict[tuple[int, ...], int]:
-    """Each count vector's position in M[K](X), as one shared dict: the one place a count vector becomes a position."""
-    return {v: i for i, v in enumerate(count_vectors(len(X), K))}
+def multiset_index(n: int, K: int) -> dict[tuple[int, ...], int]:
+    """Each count vector's position in M[K] over any n-element base: one dict per size, so no rank hashes a carrier."""
+    return {v: i for i, v in enumerate(count_vectors(n, K))}
 
 
 @cache
 def add_table(n: int, k: int, L: int) -> tuple[tuple[int, ...], ...]:
     """Count-vector addition over an n-element base: [r][s] is the M[k+L] position of r of M[k] plus s of M[L]."""
-    rank = {v: i for i, v in enumerate(count_vectors(n, k + L))}
+    rank = multiset_index(n, k + L)
     return tuple(tuple(rank[tuple(map(operator.add, r, s))] for s in count_vectors(n, L)) for r in count_vectors(n, k))
 
 
@@ -265,7 +266,7 @@ def del_kernel(X: FinSet, K: int) -> Kernel:
 def dd_kernel(X: FinSet, K: int) -> Kernel:
     """Draw-and-delete: remove one uniformly drawn element from a size-K+1 urn."""
     Min, Mout = multiset_space(X, K + 1), multiset_space(X, K)
-    urns, rank = count_vectors(len(X), K + 1), multiset_index(X, K)
+    urns, rank = count_vectors(len(X), K + 1), multiset_index(len(X), K)
 
     def draws(i: int) -> Iterator[tuple[int, int]]:
         # drawing colour j, held c times, leaves the count vector with one fewer j

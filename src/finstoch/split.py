@@ -100,14 +100,14 @@ def accs_kernel(X: FinSet, Y: FinSet, K: int) -> Kernel:
 
     def positions(Z: FinSet, k: int) -> list[int]:
         # the M[k](Z) position of each word of Z^k, from the count of each letter in it
-        rank, n = multiset_index(Z, k), len(Z)
+        rank, n = multiset_index(len(Z), k), len(Z)
         return [rank[tuple(map(word_letters(w, n, k).count, range(n)))] for w in range(n**k)]
 
     targets, start = [], 0
     for i in range(K + 1):
-        xs, ys, width = positions(X, i), positions(Y, K - i), len(multiset_index(Y, K - i))
+        xs, ys, width = positions(X, i), positions(Y, K - i), len(multiset_index(len(Y), K - i))
         targets += [start + x * width + y for x in xs for y in ys] * len(patterns(K, i))
-        start += len(multiset_index(X, i)) * width
+        start += len(multiset_index(len(X), i)) * width
     return Kernel(dom, cod, PointRows(cod, tuple(targets)))
 
 
@@ -121,7 +121,7 @@ def msplit_kernel(X: FinSet, Y: FinSet, K: int) -> Kernel:
     dom = multiset_space(XY, K)
     cod = msplit_space(X, Y, K)
     n = len(X)
-    ranks = [(multiset_index(X, i), multiset_index(Y, K - i)) for i in range(K + 1)]
+    ranks = [(multiset_index(n, i), multiset_index(len(Y), K - i)) for i in range(K + 1)]
     starts = tuple(itertools.accumulate((len(rx) * len(ry) for rx, ry in ranks), initial=0))
 
     def split(v: tuple[int, ...]) -> int:
@@ -138,6 +138,6 @@ def msplit_inv_kernel(X: FinSet, Y: FinSet, K: int) -> Kernel:
     """Merge an (X part, Y part) pair back into one multiset over X + Y."""
     XY = coproduct_finset((X, Y))
     dom, cod = msplit_space(X, Y, K), multiset_space(XY, K)
-    rank, n, m = multiset_index(XY, K), len(X), len(Y)
+    rank, n, m = multiset_index(len(XY), K), len(X), len(Y)
     targets = (rank[vx + vy] for i in range(K + 1) for vx in count_vectors(n, i) for vy in count_vectors(m, K - i))
     return Kernel(dom, cod, PointRows(cod, tuple(targets)))

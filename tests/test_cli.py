@@ -209,10 +209,13 @@ CEILING = "exceeds limit 20000"
         (("msplit", "--urn", f"a:{HUGE}", "--left", "a"), f"urn size {HUGE} is too large"),
         (("multinomial", "--dist", "a:1", "--k", "1099511627776"), "--k 1099511627776 is too large"),
         (("arr", "--urn", "a:1099511627776"), "urn size 1099511627776 is too large"),
+        # two colours: the carrier's size has more digits than Python's int-to-str limit
+        (("arr", "--urn", "a:1,b:19999"), "urn size 20000 is too large"),
+        (("multinomial", "--dist", "a:1/2,b:1/2", "--k", "19999"), "--k 19999 is too large"),
     ],
     ids=["multinomial", "arr", "mzip", "multinomial-two-colours", "hypergeometric", "dd", "flrn", "msplit",
          "mzip-past-ceiling", "hypergeometric-one-colour", "msplit-one-colour", "multinomial-one-colour-2^40",
-         "arr-one-colour-2^40"],
+         "arr-one-colour-2^40", "arr-past-str-digits", "multinomial-past-str-digits"],
 )
 def test_oversized_query_exits_2(capsys, argv, named):
     # each fails at once, before anything is allocated: an index-sized

@@ -63,6 +63,7 @@ from finstoch.core import (
     word_letters,
     word_position,
 )
+from finstoch.laws import make_kernel
 from finstoch.multisets import Multiset, flrn_kernel, multiset_space
 from label_tuples import tuple_of, untuple
 
@@ -454,6 +455,18 @@ class TestKernel:
         row = sq.rows[0]
         assert row.weight(("a", "a")) == F(1, 9)
         assert row.weight(("b", "b")) == F(4, 9)
+
+    @pytest.mark.parametrize("kind", ["generic", "const", "collapse", "iso"])
+    def test_tensor_square_is_the_power_and_the_zeroth_power_the_unit(self, kind):
+        # kernel_tensor and kernel_power share one product builder, deterministic or not
+        unit = identity_kernel(unit_finset())
+        for n, m in itertools.product(range(1, 4), repeat=2):
+            if kind == "iso" and n != m:
+                continue
+            f = make_kernel(kind, make_finset("abc"[:n]), make_finset("pqr"[:m]))
+            assert kernel_tensor(f, f) == kernel_power(f, 2)  # pairs and 2-tuples: the carriers agree
+            zeroth = kernel_power(f, 0)
+            assert zeroth == unit and hash(zeroth) == hash(unit) and zeroth.is_point_masses()
 
 
 class CountingLabel:

@@ -176,6 +176,12 @@ class TestRunner:
         report = run_laws(GridSpec(**sizes, carrier_limit=5), selection=["Def8.1.mn_closed"])
         assert (report.total_instances, report.total_skipped) == (8, 4)
 
+    def test_skips_a_size_past_the_int_to_str_limit(self):
+        # X^14300 with |X| = 2 has a size of 4,305 digits, more than Python prints: the guard still refuses it
+        grid = GridSpec(x_sizes=(2,), y_sizes=(1,), k_values=(14300,))
+        report = run_laws(grid, selection=["Lemma3.2.acc_natural"])
+        assert (report.total_instances, report.total_skipped, report.total_failures) == (0, 3, 0)
+
 
 class TestGridSpec:
     @pytest.mark.parametrize("name", ["x_sizes", "y_sizes", "number_sizes"])

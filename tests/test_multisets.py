@@ -98,7 +98,7 @@ class TestSpaces:
             with pytest.raises(CarrierTooLarge):
                 count_vectors(4, 400)
             with pytest.raises(CarrierTooLarge):
-                multiset_index(X, 400)
+                multiset_index(len(X), 400)
             with pytest.raises(CarrierTooLarge):
                 count_vectors(1, 20001)  # one vector, but longer than the ceiling
 
@@ -107,7 +107,7 @@ class TestSpaces:
             X = make_finset("abc"[:n])
             for K in range(5):
                 assert count_vectors(n, K) == tuple(m.counts for m in multiset_space(X, K))
-                assert multiset_index(X, K) == {m.counts: i for i, m in enumerate(multiset_space(X, K))}
+                assert multiset_index(len(X), K) == {m.counts: i for i, m in enumerate(multiset_space(X, K))}
 
 
 class TestBagsOnPositions:
