@@ -108,24 +108,21 @@ def cmd_query(args) -> int:
 
 
 def cmd_laws(args) -> int:
-    # imported here so that query commands load neither the law runner nor dataclasses
-    import dataclasses
-
+    # imported here so that query commands do not load the law runner
     from .laws import GridSpec, law_registry, run_laws
 
     grid = GridSpec()
     if args.max_set is not None:
         if args.max_set < 1:
             raise UsageError("--max-set must be at least 1")
-        grid = dataclasses.replace(
-            grid,
+        grid = grid.replace(
             x_sizes=tuple(s for s in grid.x_sizes if s <= args.max_set),
             y_sizes=tuple(s for s in grid.y_sizes if s <= args.max_set),
         )
     if args.max_k is not None:
         if args.max_k < 1:
             raise UsageError("--max-k must be at least 1")
-        grid = dataclasses.replace(grid, k_values=tuple(k for k in grid.k_values if k <= args.max_k))
+        grid = grid.replace(k_values=tuple(k for k in grid.k_values if k <= args.max_k))
     selection = args.law if args.law else None
     if selection is not None:
         known = {law.id for law in law_registry()}

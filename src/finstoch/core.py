@@ -99,19 +99,22 @@ def cache(fn: Callable) -> Callable:
     return cached
 
 
+def _name(n: int) -> int | str:
+    # past Python's int-to-str limit (4,300 digits) a refused number is named by the power of two below it
+    return n if n.bit_length() < 10000 else f"at least 2^{n.bit_length() - 1}"
+
+
 def _guard_size(n: int) -> None:
     limit = _SETTINGS.get()[0]
     if limit is not None and n > limit:
-        # past Python's int-to-str limit (4,300 digits) a size is named by the power of two below it
-        size = n if n.bit_length() < 10000 else f"at least 2^{n.bit_length() - 1}"
-        raise CarrierTooLarge(f"carrier with {size} elements exceeds limit {limit}")
+        raise CarrierTooLarge(f"carrier with {_name(n)} elements exceeds limit {limit}")
 
 
 def _guard_length(K: int) -> None:
     # over one colour, K-tuples and size-K multisets have a one-element carrier
     limit = _SETTINGS.get()[0]
     if limit is not None and K > limit:
-        raise CarrierTooLarge(f"length {K} exceeds limit {limit}")
+        raise CarrierTooLarge(f"length {_name(K)} exceeds limit {limit}")
 
 
 class cached_field:

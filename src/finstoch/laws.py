@@ -19,7 +19,6 @@ import bisect
 import itertools
 import math
 import time
-from dataclasses import asdict, dataclass, fields
 from typing import Callable, Iterator, Sequence
 
 from . import algebra, draws, multisets, split
@@ -28,6 +27,7 @@ from .core import (
     CarrierTooLarge,
     Dist,
     FinSet,
+    Frozen,
     Kernel,
     Permutation,
     all_permutations,
@@ -63,10 +63,50 @@ from .core import (
 )
 
 # ---------------------------------------------------------------------------
+# Value classes
+
+class _Record(Frozen):
+    """A :class:`Frozen` value built from its annotated fields, by position or keyword.
+
+    A field assigned in the class body takes that value by default.  With
+    ``as_dict`` and ``replace`` this is all the runner's value classes used
+    of a frozen dataclass, without its import.
+    """
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        cls._fields = tuple(cls.__dict__["__annotations__"])
+
+    def __init__(self, *args, **kwargs) -> None:
+        name, fields = type(self).__name__, self._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{name} takes {len(fields)} fields, got {len(args)} positional arguments")
+        given = dict(zip(fields, args))
+        for field in kwargs:
+            if field not in fields or field in given:
+                raise TypeError(f"{name} got an unknown or repeated field {field!r}")
+        given.update(kwargs)
+        missing = [field for field in fields if field not in given and not hasattr(type(self), field)]
+        if missing:
+            raise TypeError(f"{name} is missing the fields {', '.join(missing)}")
+        vars(self).update(given)  # a defaulted field not given is read from the class
+
+    def as_dict(self) -> dict:
+        """The fields by name, in declared order."""
+        return {field: getattr(self, field) for field in self._fields}
+
+    def replace(self, **changes):
+        """A copy with the named fields changed."""
+        return type(self)(**{**self.as_dict(), **changes})
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(f'{k}={v!r}' for k, v in self.as_dict().items())})"
+
+
+# ---------------------------------------------------------------------------
 # Grid
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(_Record):
     """Bounds for the instance grid the laws are quantified over."""
 
     x_sizes: tuple[int, ...] = (1, 2, 3)
@@ -79,7 +119,8 @@ class GridSpec:
     kln_cap: int = 8
     carrier_limit: int = DEFAULT_CARRIER_LIMIT
 
-    def __post_init__(self) -> None:
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
         least = {"x_sizes": 1, "y_sizes": 1, "number_sizes": 1, "k_values": 0, "n_values": 0}
         most = {"x_sizes": len(_X_ATOMS), "y_sizes": len(_Y_ATOMS)}  # one carrier per size, from the atom pools
         for name, low in least.items():
@@ -142,8 +183,7 @@ def make_kernel(kind: str, dom: FinSet, cod: FinSet) -> Kernel:
     raise ValueError(f"unknown kernel kind {kind!r}")
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(_Record):
     """One grid point: the universally quantified data a law is built from."""
 
     grid: GridSpec
@@ -163,6 +203,12 @@ class Instance:
     r: Dist | None = None
     s: Dist | None = None
 
+    def __init__(self, grid: GridSpec, **dims) -> None:
+        # one per grid point, so no generic binding: a dimension not given is None, read from the class
+        if not dims.keys() <= _DIMS:
+            raise TypeError(f"Instance got an unknown field among {', '.join(dims)}")
+        vars(self).update(dims, grid=grid)
+
     def f(self) -> Kernel:
         return make_kernel(self.fkind, self.X, self.Y)
 
@@ -176,8 +222,8 @@ class Instance:
 
     def describe(self) -> str:
         bits = []
-        for field in fields(self)[1:]:  # every field but the grid
-            v = getattr(self, field.name)
+        for name in self._fields[1:]:  # every field but the grid
+            v = getattr(self, name)
             if isinstance(v, FinSet):
                 v = "{" + ",".join(str(e) for e in v) + "}"
             elif isinstance(v, Permutation):
@@ -185,8 +231,11 @@ class Instance:
             elif isinstance(v, Dist):
                 v = "(" + ",".join(str(w) for w in v.weights) + ")"
             if v is not None:
-                bits.append(f"{field.name}={v}")
+                bits.append(f"{name}={v}")
         return " ".join(bits)
+
+
+_DIMS = frozenset(Instance._fields[1:])
 
 
 def _dim_values(name: str, grid: GridSpec, partial: dict) -> Sequence:
@@ -243,8 +292,7 @@ Check = tuple[object, object]
 Builder = Callable[[Instance], object]
 
 
-@dataclass(frozen=True)
-class Law:
+class Law(_Record):
     """One executable equation: id, statement, grid dimensions, builder."""
 
     id: str
@@ -1261,8 +1309,7 @@ def card_shadow(i: Instance):
 _FAILURE_DETAIL_CAP = 10
 
 
-@dataclass(frozen=True)
-class LawResult:
+class LawResult(_Record):
     law_id: str
     paper_ref: str
     instances: int
@@ -1273,11 +1320,10 @@ class LawResult:
     seconds: float
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return self.as_dict()
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(_Record):
     grid: GridSpec
     results: tuple[LawResult, ...]
     seconds: float
@@ -1302,7 +1348,7 @@ class Report:
 
     def to_json(self) -> dict:
         return {
-            "grid": asdict(self.grid),
+            "grid": self.grid.as_dict(),
             "laws": [r.to_json() for r in self.results],
             "total_instances": self.total_instances,
             "total_failures": self.total_failures,

@@ -6,7 +6,6 @@ import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import asdict
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -251,6 +250,17 @@ def test_cli_import_is_lean_and_laws_still_run():
     probe = "import sys, finstoch.cli; print(sorted({'dataclasses', 'finstoch.laws'} & set(sys.modules)))"
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "[]"
+    # nor does the law runner, on import or through `finstoch laws`, load dataclasses
+    probe = "import sys, finstoch.laws; print('dataclasses' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"
+    probe = (
+        "import sys, finstoch.cli; code = finstoch.cli.main(['laws', '--max-set', '1', '--max-k', '1']); "
+        "print(code, 'dataclasses' in sys.modules)"
+    )
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "0 False"
     argv = [sys.executable, "-m", "finstoch.cli", "laws", "--max-set", "1", "--max-k", "1"]
     result = subprocess.run(argv, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
@@ -302,9 +312,17 @@ class TestLawsCommand:
             capsys, "laws", "--law", "Eq3.dd_square", "--max-set", "2", "--max-k", "2", "--json"
         )
         assert code == 0
-        defaults = json.loads(json.dumps(asdict(GridSpec())))
+        defaults = json.loads(json.dumps(GridSpec().as_dict()))
         expected = {**defaults, "x_sizes": [1, 2], "y_sizes": [1, 2], "k_values": [0, 1, 2]}
         assert json.loads(out)["grid"] == expected
+
+    def test_json_grid_keys_in_field_order(self, capsys):
+        code, out, _ = run_cli(capsys, "laws", "--law", "Eq3.dd_square", "--max-set", "1", "--max-k", "1", "--json")
+        assert code == 0
+        assert list(json.loads(out)["grid"]) == [
+            "x_sizes", "y_sizes", "k_values", "n_values", "number_sizes", "kl_cap", "k_plus_l_cap", "kln_cap",
+            "carrier_limit",
+        ]
 
 
 class TestSumToOneEverywhere:

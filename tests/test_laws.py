@@ -1,6 +1,5 @@
 """The law registry and its grid runner: contracts, determinism, sensitivity."""
 
-import dataclasses
 import json
 import pathlib
 import re
@@ -182,6 +181,67 @@ class TestRunner:
         report = run_laws(grid, selection=["Lemma3.2.acc_natural"])
         assert (report.total_instances, report.total_skipped, report.total_failures) == (0, 3, 0)
 
+    def test_skips_a_length_past_the_int_to_str_limit(self):
+        # K has 5,001 digits, more than Python prints: the length guard names it by a power of two and refuses it
+        grid = GridSpec(x_sizes=(2,), y_sizes=(1,), k_values=(10**5000,))
+        report = run_laws(grid, selection=["Lemma3.2.acc_natural"])
+        assert (report.total_instances, report.total_skipped, report.total_failures) == (0, 3, 0)
+
+
+def _values():
+    """One of each value class of the runner, built twice from equal fields."""
+    law_ = law_by_id("Eq3.dd_square")
+    result = dict(law_id="x", paper_ref="y", instances=2, passes=1, failure_count=1, failures=("K=1",),
+                  skipped=0, seconds=0.5)
+    return [
+        (GridSpec(x_sizes=(1, 2)), GridSpec(x_sizes=(1, 2))),
+        (Instance(SMALL, K=2, fkind="generic"), Instance(grid=SMALL, fkind="generic", K=2)),
+        (law_, laws.Law(law_.id, law_.ref, law_.dims, law_.build)),
+        (laws.LawResult(**result), laws.LawResult(**result)),
+        (
+            laws.Report(SMALL, (laws.LawResult(**result),), 1.0),
+            laws.Report(grid=SMALL, results=(laws.LawResult(**result),), seconds=1.0),
+        ),
+    ]
+
+
+class TestValueClasses:
+    @pytest.mark.parametrize("index", range(5))
+    def test_equal_fields_give_equal_values_and_hashes(self, index):
+        a, b = _values()[index]
+        assert a is not b and a == b and hash(a) == hash(b)
+        changed = a.replace(**{a._fields[-1]: "other"})
+        assert changed != a and getattr(changed, a._fields[-1]) == "other"
+
+    @pytest.mark.parametrize("index", range(5))
+    def test_fields_cannot_be_assigned(self, index):
+        value = _values()[index][0]
+        name = value._fields[0]
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+
+    def test_unknown_and_missing_fields_refused(self):
+        with pytest.raises(TypeError):
+            GridSpec(x_size=(1,))
+        with pytest.raises(TypeError):
+            Instance(SMALL, Z=1)
+        with pytest.raises(TypeError):
+            Instance(K=1)
+        with pytest.raises(TypeError):
+            laws.Law("id", "ref", ("K",))
+        with pytest.raises(TypeError):
+            laws.Report(grid=SMALL, results=(), seconds=0.0, total=0)
+        with pytest.raises(TypeError):
+            laws.Report(SMALL, (), 0.0, None)
+
+    def test_defaults_and_field_order(self):
+        assert list(GridSpec().as_dict()) == [
+            "x_sizes", "y_sizes", "k_values", "n_values", "number_sizes", "kl_cap", "k_plus_l_cap", "kln_cap",
+            "carrier_limit",
+        ]
+        assert law_by_id("Eq3.dd_square").applies is None
+        assert Instance(SMALL).as_dict() == {"grid": SMALL, **dict.fromkeys(Instance._fields[1:])}
+
 
 class TestGridSpec:
     @pytest.mark.parametrize("name", ["x_sizes", "y_sizes", "number_sizes"])
@@ -297,7 +357,7 @@ class TestKernelGenerators:
         # every law below fails everywhere; the table names its first point
         ids = ["Lemma3.2.acc_perm", "Def4.1.perm_fixed", "Lemma4.2.constant"]
         for law_id in ids:
-            failing = dataclasses.replace(law_by_id(law_id), build=lambda i: (0, 1))
+            failing = law_by_id(law_id).replace(build=lambda i: (0, 1))
             monkeypatch.setitem(laws._LAWS, law_id, failing)
         grid = GridSpec(x_sizes=(2,), y_sizes=(1,), k_values=(2,), number_sizes=(2,))
         report = run_laws(grid, selection=ids)
