@@ -799,9 +799,7 @@ def coprojection_kernel(parts: tuple[FinSet, ...], i: int) -> Kernel:
 
 
 def copy_kernel(X: FinSet, K: int) -> Kernel:
-    """The K-fold copier x |-> (x, ..., x); K = 0 is the discard map."""
-    if K < 0:
-        raise ValueError("copy arity must be nonnegative")
+    """The K-fold copier x |-> (x, ..., x); K = 0 is the discard map; :func:`power_finset` refuses K < 0."""
     return index_map_kernel(X, power_finset(X, K), lambda i: word_position((i,) * K, len(X)))
 
 

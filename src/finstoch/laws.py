@@ -76,19 +76,19 @@ class _Record(Frozen):
     def __init_subclass__(cls) -> None:
         super().__init_subclass__()
         cls._fields = tuple(cls.__dict__["__annotations__"])
+        cls._field_set = frozenset(cls._fields)
+        cls._required = frozenset(field for field in cls._fields if not hasattr(cls, field))
 
     def __init__(self, *args, **kwargs) -> None:
-        name, fields = type(self).__name__, self._fields
+        fields = self._fields
         if len(args) > len(fields):
-            raise TypeError(f"{name} takes {len(fields)} fields, got {len(args)} positional arguments")
+            raise TypeError(f"{type(self).__name__} takes {len(fields)} fields, got {len(args)} positional arguments")
         given = dict(zip(fields, args))
-        for field in kwargs:
-            if field not in fields or field in given:
-                raise TypeError(f"{name} got an unknown or repeated field {field!r}")
-        given.update(kwargs)
-        missing = [field for field in fields if field not in given and not hasattr(type(self), field)]
-        if missing:
-            raise TypeError(f"{name} is missing the fields {', '.join(missing)}")
+        given.update(kwargs)  # a keyword repeating a positional field leaves given short
+        if len(given) < len(args) + len(kwargs) or not self._required <= given.keys() <= self._field_set:
+            bad = (given.keys() - self._field_set) | (self._required - given.keys())  # unknown or missing
+            bad |= kwargs.keys() & fields[: len(args)]  # repeated
+            raise TypeError(f"{type(self).__name__} got unknown, repeated or missing fields {', '.join(sorted(bad))}")
         vars(self).update(given)  # a defaulted field not given is read from the class
 
     def as_dict(self) -> dict:
@@ -205,7 +205,7 @@ class Instance(_Record):
 
     def __init__(self, grid: GridSpec, **dims) -> None:
         # one per grid point, so no generic binding: a dimension not given is None, read from the class
-        if not dims.keys() <= _DIMS:
+        if not dims.keys() <= self._field_set:
             raise TypeError(f"Instance got an unknown field among {', '.join(dims)}")
         vars(self).update(dims, grid=grid)
 
@@ -233,9 +233,6 @@ class Instance(_Record):
             if v is not None:
                 bits.append(f"{name}={v}")
         return " ".join(bits)
-
-
-_DIMS = frozenset(Instance._fields[1:])
 
 
 def _dim_values(name: str, grid: GridSpec, partial: dict) -> Sequence:

@@ -142,10 +142,8 @@ def count_vectors(n: int, K: int) -> tuple[tuple[int, ...], ...]:
 def multiset_space(X: FinSet, K: int) -> FinSet:
     """The carrier M[K](X): all size-K multisets over X; M[0](X) is a singleton, M[K](0) empty for K > 0.
 
-    Counted: its multisets are built on first read, from :func:`count_vectors`.
+    Counted: its multisets are built on first read, from :func:`count_vectors`; :func:`multichoose` refuses K < 0.
     """
-    if K < 0:
-        raise ValueError("multiset size must be nonnegative")
     _guard_length(K)
     n = len(X)
     return FinSet.counted(multichoose(n, K), lambda: tuple(Multiset(X, v) for v in count_vectors(n, K)))

@@ -52,6 +52,11 @@ class TestMultinomial:
         assert code == 2
         assert "error" in err
 
+    def test_bad_rational_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "multinomial", "--dist", "a:x", "--k", "1")
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: bad rational 'x'")
+
     def test_exponent_weight_exits_2_at_once(self, capsys):
         started = time.perf_counter()
         code, out, err = run_cli(capsys, "multinomial", "--dist", "a:1e99999999", "--k", "1")
@@ -217,9 +222,8 @@ CEILING = "exceeds limit 20000"
          "arr-one-colour-2^40", "arr-past-str-digits", "multinomial-past-str-digits"],
 )
 def test_oversized_query_exits_2(capsys, argv, named):
-    # each fails at once, before anything is allocated: an index-sized
-    # integer overflows, or a carrier, tuple length or multiset size past
-    # the ceiling is refused by size
+    # each fails at once, before anything is allocated: a carrier, tuple
+    # length or multiset size past the ceiling is refused by size
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
@@ -286,8 +290,10 @@ class TestLawsCommand:
         assert "Thm8.3.flrn" in out
 
     def test_unknown_law_exits_2(self, capsys):
-        code, _, err = run_cli(capsys, "laws", "--law", "NoSuchLaw")
-        assert code == 2
+        # refused before any law runs, so a known law selected with it prints nothing either
+        for known in ((), ("--law", "Eq3.dd_square")):
+            code, out, err = run_cli(capsys, "laws", *known, "--law", "NoSuchLaw")
+            assert (code, out, err) == (2, "", "error: unknown law id 'NoSuchLaw'\n")
 
     def test_json_report(self, capsys):
         code, out, _ = run_cli(

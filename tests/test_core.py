@@ -1000,6 +1000,27 @@ class TestConvex:
             fractional_series((0, 0))
 
 
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: number_finset(-1), ValueError, "interpreted numbers are nonnegative"),
+        (lambda: power_finset(AB, -1), ValueError, "power exponent must be nonnegative"),
+        (lambda: copy_kernel(AB, -1), ValueError, "power exponent must be nonnegative"),
+        (lambda: make_dist(AB, {"a": 0.5, "b": F(1, 2)}), TypeError, "exact rationals, got float"),
+        (lambda: fair_ab().weight("z"), ValueError, "label 'z' not in carrier"),
+        (lambda: fractional_series((1, -1)), ValueError, "entries are naturals"),
+        (lambda: Permutation((1, 0)).compose(Permutation((0,))), ValueError, "size mismatch"),
+        (lambda: cotuple([identity_kernel(AB)], codomain=ABC), ValueError, "codomain mismatch"),
+        (lambda: convex_sum(uniform_state(2), [identity_kernel(AB), identity_kernel(ABC)]), ValueError, "share domain"),
+    ],
+    ids=["number", "power", "copy", "float-weight", "weight-outside", "negative-series", "compose-sizes",
+         "cotuple-codomain", "convex-carriers"],
+)
+def test_bad_input_refused(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 class TestDeterminism:
     def test_dirac_rows_deterministic(self):
         assert is_deterministic(identity_kernel(ABC))

@@ -136,6 +136,14 @@ class TestRunner:
                 law.pop("seconds")
         assert a == b
 
+    def test_no_first_failure_when_every_law_passes(self):
+        report = run_laws(SMALL, selection=["Eq3.dd_square"])
+        assert report.total_failures == 0 and report.first_failure() is None
+
+    def test_unknown_grid_dimension_refused(self):
+        with pytest.raises(ValueError, match="unknown grid dimension 'Z'"):
+            list(laws.iter_instances(SMALL, ("X", "Z")))
+
     def test_jobs_other_than_one_refused(self):
         with pytest.raises(ValueError):
             run_laws(SMALL, ["Eq3.dd_square"], jobs=2)
@@ -221,18 +229,31 @@ class TestValueClasses:
             setattr(value, name, None)
 
     def test_unknown_and_missing_fields_refused(self):
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match="GridSpec got unknown, repeated or missing fields x_size$"):
             GridSpec(x_size=(1,))
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match="GridSpec got unknown, repeated or missing fields x_sizes$"):
+            GridSpec((1,), x_sizes=(2,))
+        with pytest.raises(TypeError, match="Instance got an unknown field among Z"):
             Instance(SMALL, Z=1)
         with pytest.raises(TypeError):
             Instance(K=1)
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match="Law got unknown, repeated or missing fields build$"):
             laws.Law("id", "ref", ("K",))
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match="Report got unknown, repeated or missing fields total$"):
             laws.Report(grid=SMALL, results=(), seconds=0.0, total=0)
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match="Report got unknown, repeated or missing fields seconds, total$"):
+            laws.Report(grid=SMALL, results=(), total=0)
+        with pytest.raises(TypeError, match="Report takes 3 fields, got 4 positional arguments"):
             laws.Report(SMALL, (), 0.0, None)
+
+    def test_repr_lists_the_fields_in_order(self):
+        assert repr(GridSpec(x_sizes=(1,), kl_cap=2)) == (
+            "GridSpec(x_sizes=(1,), y_sizes=(1, 2), k_values=(0, 1, 2, 3, 4), n_values=(1, 2), "
+            "number_sizes=(1, 2, 3, 4), kl_cap=2, k_plus_l_cap=5, kln_cap=8, carrier_limit=20000)"
+        )
+        assert repr(Instance(SMALL, K=2)).startswith("Instance(grid=GridSpec(x_sizes=(1, 2), ")
+        assert repr(Instance(SMALL, K=2)).endswith(", K=2, L=None, N=None, n=None, m=None, nums=None, fkind=None, "
+                                                   "gkind=None, sigma=None, tau=None, rho=None, r=None, s=None)")
 
     def test_defaults_and_field_order(self):
         assert list(GridSpec().as_dict()) == [
@@ -328,6 +349,17 @@ class TestMutationSensitivity:
 
 
 class TestKernelGenerators:
+    @pytest.mark.parametrize(
+        "kind, size, message",
+        [("generic", 7, "only generated for small domains"), ("uniform", 2, "unknown kernel kind 'uniform'")],
+        ids=["generic-past-the-primes", "unknown-kind"],
+    )
+    def test_bad_kernel_refused(self, kind, size, message):
+        from finstoch import make_finset
+
+        with pytest.raises(ValueError, match=message):
+            make_kernel(kind, make_finset("abcdefg"[:size]), make_finset(["u"]))
+
     def test_kinds_cover_the_design(self):
         from finstoch import make_finset
 

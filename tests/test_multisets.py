@@ -36,7 +36,7 @@ from finstoch import (
     section_kernel,
 )
 from finstoch.core import CarrierTooLarge, Dist, Kernel, carrier_limit, kernel_from_function
-from finstoch.multisets import count_vectors, multiset_index
+from finstoch.multisets import count_vectors, drop_kernel, multichoose, multiset_index
 from label_tuples import tuple_of, untuple
 
 AB = make_finset(["a", "b"])
@@ -80,6 +80,20 @@ class TestSpaces:
             Multiset(AB, (1,))
         with pytest.raises(ValueError):
             Multiset(AB, (-1, 2))
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: Multiset(AB, (1, 0)).minus("b"), "cannot remove 'b': count is zero"),
+            (lambda: multichoose(-1, 0), "multichoose takes naturals"),
+            (lambda: multiset_space(AB, -1), "multichoose takes naturals"),
+            (lambda: drop_kernel(AB, 2, 0), r"drop index 0 out of range 1\.\.3"),
+        ],
+        ids=["minus-at-zero", "multichoose", "space", "drop-index"],
+    )
+    def test_bad_input_refused(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
 
     def test_hash_follows_equality(self):
         built_apart = Multiset(make_finset(["a", "b"]), (2, 1))
