@@ -20,11 +20,9 @@ from .core import (
     DEFAULT_CARRIER_LIMIT,
     CarrierTooLarge,
     carrier_limit,
-    coproduct_finset,
     make_finset,
     state_kernel,
 )
-from .multisets import Multiset
 from .textio import dist_to_json, parse_dist, parse_urn, render_dist_lines
 
 
@@ -32,47 +30,54 @@ class UsageError(Exception):
     pass
 
 
-# Each query parses and checks its arguments, then returns the size that names
-# it in an error, a thunk that builds its kernel, and the point whose row is printed.
+# Each query parses and checks its arguments, then returns the size that names it in an error and a thunk
+# that builds its kernel, then reads the printed row at the position ranked from the urn's count vector.
+
+
+def rank(counts: tuple[int, ...]) -> int:
+    return multisets.multiset_index(len(counts), sum(counts))[counts]
 
 
 def query_multinomial(args):
     d = parse_dist(args.dist)
-    return ("--k", args.k), lambda: draws.multinomial_kernel(state_kernel(d), args.k), ()
+    return ("--k", args.k), lambda: draws.multinomial_kernel(state_kernel(d), args.k).rows[0]
 
 
 def query_hypergeometric(args):
     urn = parse_urn(args.urn)
     if args.draws > urn.size:
         raise UsageError(f"cannot draw {args.draws} from an urn of size {urn.size}")
-    return ("urn size", urn.size), lambda: draws.hypergeometric_kernel(urn.base, urn.size, args.draws), urn
+    return ("urn size", urn.size), lambda: draws.hypergeometric_kernel(urn.base, urn.size, args.draws).rows[
+        rank(urn.counts)
+    ]
 
 
 def query_dd(args):
     urn = parse_urn(args.urn)
     if urn.size < 1:
         raise UsageError("draw-and-delete needs a nonempty urn")
-    return ("urn size", urn.size), lambda: multisets.dd_kernel(urn.base, urn.size - 1), urn
+    return ("urn size", urn.size), lambda: multisets.dd_kernel(urn.base, urn.size - 1).rows[rank(urn.counts)]
 
 
 def query_flrn(args):
     urn = parse_urn(args.urn)
     if urn.size < 1:
         raise UsageError("frequentist learning needs a nonempty urn")
-    return ("urn size", urn.size), lambda: multisets.flrn_kernel(urn.base, urn.size), urn
+    return ("urn size", urn.size), lambda: multisets.flrn_kernel(urn.base, urn.size).rows[rank(urn.counts)]
 
 
 def query_arr(args):
     urn = parse_urn(args.urn)
-    return ("urn size", urn.size), lambda: multisets.arr_kernel(urn.base, urn.size), urn
+    return ("urn size", urn.size), lambda: multisets.arr_kernel(urn.base, urn.size).rows[rank(urn.counts)]
 
 
 def query_mzip(args):
-    left = parse_urn(args.left)
-    right = parse_urn(args.right)
+    left, right = parse_urn(args.left), parse_urn(args.right)
     if left.size != right.size:
         raise UsageError("mzip needs two urns of the same size")
-    return ("urn size", left.size), lambda: mzip_kernel(left.base, right.base, left.size), (left, right)
+    return ("urn size", left.size), lambda: mzip_kernel(left.base, right.base, left.size).rows[
+        rank(left.counts) * multisets.multichoose(len(right.counts), left.size) + rank(right.counts)  # row-major
+    ]
 
 
 def query_msplit(args):
@@ -81,27 +86,19 @@ def query_msplit(args):
     unknown = [lab for lab in left_labels if lab not in urn.base.index]
     if unknown:
         raise UsageError(f"--left labels not in the urn: {', '.join(unknown)}")
-    left = set(left_labels)
-    X = make_finset([lab for lab in urn.base if lab in left])
-    Y = make_finset([lab for lab in urn.base if lab not in left])
-    XY = coproduct_finset((X, Y))
-    tagged_urn = Multiset(XY, tuple(urn.count(lab.value) for lab in XY))
-    return ("urn size", urn.size), lambda: split.msplit_kernel(X, Y, urn.size), tagged_urn
+    X = make_finset([lab for lab in urn.base if lab in left_labels])
+    Y = make_finset([lab for lab in urn.base if lab not in left_labels])  # the coproduct lists X first
+    return ("urn size", urn.size), lambda: split.msplit_kernel(X, Y, urn.size).rows[rank(tuple(map(urn.count, [*X, *Y])))]
 
 
 def cmd_query(args) -> int:
-    """Build the query's kernel under the size guard and print its row at the query's point."""
-    (name, size), build, point = args.query(args)
+    """Build the query's kernel under the size guard and print the row its thunk reads by position."""
+    (name, size), read = args.query(args)
     try:
-        kernel = build()
+        row = read()
     except CarrierTooLarge as exc:
         raise UsageError(f"{name} {size} is too large: {exc}") from None
-    row = kernel.row(point)
-    if args.format == "json":
-        print(json.dumps(dist_to_json(row)))
-    else:
-        for line in render_dist_lines(row):
-            print(line)
+    print(json.dumps(dist_to_json(row)) if args.format == "json" else "\n".join(render_dist_lines(row)))
     return 0
 
 

@@ -453,7 +453,7 @@ def frequency_kernel(
     """
     n = len(codomain)
 
-    def row(i: int) -> Dist:
+    def row(_: LazyRows, i: int) -> Dist:
         indices, nums = _tally(counts(i))
         if indices and (indices[0] < 0 or indices[-1] >= n):
             raise ValueError(f"bag position outside range({n})")
@@ -560,16 +560,16 @@ class Rows:
 class LazyRows(Rows):
     """Kernel rows built on first use, each at most once.
 
-    ``build(i)`` makes row i on the kernel's codomain, under the settings in force when the
-    sequence was made.  Threads that first read a row at once may each build it; the rows they
-    build are equal, and one is kept.  Once every row is built, the sequence lets go of ``build``
-    and of all it holds.
+    ``build(rows, i)`` makes row i on the kernel's codomain, under the settings in force when the
+    sequence was made; handed the rows, it need not hold them, so it makes no reference cycle.  Threads
+    that first read a row at once may each build it; the rows they build are equal, and one is kept.
+    Once every row is built, the sequence lets go of ``build`` and of all it holds.
     """
 
     __slots__ = ("_build", "_rows", "_unbuilt", "_settings")
 
-    def __init__(self, n: int, build: Callable[[int], Dist]) -> None:
-        self._build: Callable[[int], Dist] | None = build
+    def __init__(self, n: int, build: Callable[[LazyRows, int], Dist]) -> None:
+        self._build: Callable[[LazyRows, int], Dist] | None = build
         self._rows: list[Dist | None] = [None] * n
         self._unbuilt = n
         self._settings = _SETTINGS.get()
@@ -583,7 +583,7 @@ class LazyRows(Rows):
         if row is None:
             token = _SETTINGS.set(self._settings)
             try:
-                row = self._rows[i] = build(i % len(self._rows))
+                row = self._rows[i] = build(self, i % len(self._rows))
             finally:
                 _SETTINGS.reset(token)
             self._unbuilt -= 1
@@ -634,7 +634,7 @@ class ProductRows(LazyRows):
 
     def __init__(self, codomain: FinSet, radix: int, parts: tuple, words: Sequence[int]) -> None:
         self.codomain, self.radix, self.parts, self.words = codomain, radix, parts, words
-        super().__init__(len(words), lambda i: _row(codomain, *self.expand(i)))
+        super().__init__(len(words), lambda rows, i: _row(codomain, *rows.expand(i)))
 
     def letters(self, i: int) -> tuple[int, ...]:
         w, out = self.words[i], []
@@ -668,6 +668,7 @@ class Kernel(Frozen):
                 raise ValueError("row carrier differs from codomain")
 
     def row(self, x: Label) -> Dist:
+        """The row at label x, found through ``domain.index``, which lists a counted domain; no program path calls it."""
         return self.rows[self.domain.index[x]]
 
     def is_point_masses(self) -> bool:
@@ -741,7 +742,9 @@ def _fold_rows(cod: FinSet, steps: tuple, product: ProductRows) -> tuple[Dist, .
                 out[t] = out.get(t, 0) + v * u
         return out, den * row.den
 
-    return tuple(_row(cod, *_tally(s.items()), d) for s, d in map(after, map(product.letters, range(len(product)))))
+    rows = tuple(_row(cod, *_tally(s.items()), d) for s, d in map(after, map(product.letters, range(len(product)))))
+    del after  # the cache holds the function, whose closure holds the cache: a cycle until the name goes
+    return rows
 
 
 def kernel_compose_all(*ks: Kernel) -> Kernel:

@@ -65,7 +65,7 @@ def hypergeometric_kernel(X: FinSet, L: int, K: int) -> Kernel:
     urns, draws = count_vectors(len(X), L), count_vectors(len(X), K)
     positions, denom = tuple(range(len(draws))), math.comb(L, K)
 
-    def row(i: int):
+    def row(_, i: int):
         return _row(Mout, positions, tuple(math.prod(map(math.comb, urns[i], m)) for m in draws), denom)
 
     return Kernel(Min, Mout, LazyRows(len(Min), row))

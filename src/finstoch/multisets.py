@@ -200,7 +200,7 @@ def arr_kernel(X: FinSet, K: int) -> Kernel:
     for w, m in enumerate(sum_rows(M, len(X), K, 1).targets):
         fibres[m].append(w)
     # a fibre's words are distinct and ascending, so its uniform row has no bag to tally
-    return Kernel(M, P, LazyRows(len(M), lambda i: _row(P, tuple(fibres[i]), (1,) * len(fibres[i]), len(fibres[i]))))
+    return Kernel(M, P, LazyRows(len(M), lambda _, i: _row(P, tuple(fibres[i]), (1,) * len(fibres[i]), len(fibres[i]))))
 
 
 @cache

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finstoch.cli import main
+from finstoch.core import FinSet
 from finstoch.laws import GridSpec
 
 
@@ -348,6 +349,34 @@ class TestSumToOneEverywhere:
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         assert reparse_total(out) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, domain, codomain",
+    [
+        (("hypergeometric", "--urn", "lq-h0:3,lq-h1:2,lq-h2:1", "--draws", "2"), ("multiset_space", 28), ("multiset_space", 6)),
+        (("dd", "--urn", "lq-d0:2,lq-d1:1,lq-d2:1"), ("multiset_space", 15), ("multiset_space", 10)),
+        (("flrn", "--urn", "lq-f0:2,lq-f1:1,lq-f2:1"), ("multiset_space", 15), None),  # a listed codomain
+        (("arr", "--urn", "lq-a0:1,lq-a1:1,lq-a2:1"), ("multiset_space", 10), ("power_finset", 27)),
+        (("mzip", "--left", "lq-l0:2,lq-l1:1", "--right", "lq-r0:1,lq-r1:1,lq-r2:1"), ("tensor_finset", 40), ("multiset_space", 56)),
+        # a split is a bijection, so its domain and codomain have one size and differ by the carrier that makes them
+        (("msplit", "--urn", "lq-s0:1,lq-s1:1,lq-s2:1,lq-s3:0", "--left", "lq-s0,lq-s2"), ("multiset_space", 20), ("coproduct_finset", 20)),
+    ],
+    ids=["hypergeometric", "dd", "flrn", "arr", "mzip", "msplit"],
+)
+def test_query_lists_no_domain(capsys, monkeypatch, argv, domain, codomain):
+    # each query reads its row by the urn's position; rendering the row lists the codomain, nothing lists the domain
+    listed = []
+    counted = FinSet.counted.__func__
+
+    def listing(cls, size, build):
+        return counted(cls, size, lambda: listed.append((build.__qualname__.partition(".")[0], size)) or build())
+
+    monkeypatch.setattr(FinSet, "counted", classmethod(listing))
+    code, out, _ = run_cli(capsys, *argv)  # labels no other test builds, so no cache hit hides a listing
+    assert code == 0 and reparse_total(out) == 1
+    assert domain not in listed
+    assert codomain is None or codomain in listed
 
 
 QUERY_COMMANDS = ["multinomial", "hypergeometric", "dd", "flrn", "arr", "mzip", "msplit"]

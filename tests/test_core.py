@@ -1,5 +1,6 @@
 """Carriers, distributions, kernels, and the convex/monoidal structure."""
 
+import gc
 import itertools
 import math
 import sys
@@ -19,6 +20,7 @@ from finstoch import (
     Permutation,
     Tagged,
     acc_kernel,
+    arr_kernel,
     carrier_limit,
     constant_kernel,
     convex_sum,
@@ -29,6 +31,7 @@ from finstoch import (
     dirac,
     discard_kernel,
     fractional_series,
+    hypergeometric_chain_kernel,
     identity_kernel,
     index_map_kernel,
     is_deterministic,
@@ -40,7 +43,11 @@ from finstoch import (
     kernel_tensor,
     make_dist,
     make_finset,
+    mset_map,
+    msplit_kernel,
+    mu_kernel,
     multinomial_kernel,
+    mzip_kernel,
     number_finset,
     permutation_kernel,
     power_finset,
@@ -761,6 +768,31 @@ class TestLazyRows:
         with unchecked_weights():
             with pytest.raises(ValueError):
                 made_outside.rows[0]
+
+
+def test_builds_leave_no_cyclic_garbage():
+    # an unread product and a fold's prefix memo are freed by reference counts alone
+    X, Y = make_finset(["gc-x0", "gc-x1", "gc-x2"]), make_finset(["gc-y0", "gc-y1", "gc-y2"])
+    FOUR, TWO = make_finset(["gc-a", "gc-b", "gc-c", "gc-d"]), make_finset(["gc-l0", "gc-l1"])
+    f = Kernel(X, Y, tuple(make_dist(Y, {y: F(i + j + 1, 3 * i + 6) for j, y in enumerate(Y)}) for i in range(3)))
+    gc.disable()
+    try:
+        gc.collect()
+        for K in range(2, 6):
+            tuple(multinomial_kernel(f, K).rows)
+            tuple(mset_map(f, K).rows)
+        kernel_power(f, 3)
+        for k in (
+            hypergeometric_chain_kernel(FOUR, 8, 3),
+            mzip_kernel(X, TWO, 5),
+            mu_kernel(X, 4, 4),
+            arr_kernel(FOUR, 7),
+            msplit_kernel(X, Y, 8),
+        ):
+            tuple(k.rows)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def random_point_kernel(data, dom, cod):
